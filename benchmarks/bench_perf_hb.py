@@ -1,12 +1,12 @@
 """Performance layer: HB factorization reuse and the sweep executor.
 
-Harmonic balance pays for two factorizations per Newton iteration:
+Harmonic balance pays for one factorization per Newton iteration:
 either the assembled sparse Jacobian LU (direct path) or the averaged
-circuit preconditioner — one dense LU per retained frequency (GMRES
-path).  With ``MPDEOptions.reuse_factorization`` those are held across
-Newton iterations once the contraction rate shows the iteration is in
-its asymptotic regime, with fail-closed refresh when a stale factor
-stalls a step or the linear solve.
+circuit preconditioner — one stacked dense inverse over the real-input
+half-spectrum (GMRES path).  With ``MPDEOptions.reuse_factorization``
+those are held across Newton iterations once the contraction rate shows
+the iteration is in its asymptotic regime, with fail-closed refresh when
+a stale factor stalls a step or the linear solve.
 
 The second half exercises :func:`repro.hb.hb_sweep`: a multi-point
 harmonic sweep run through the deterministic sweep executor must give
@@ -79,7 +79,8 @@ def test_hb_factor_reuse(benchmark):
         }
 
     # the direct path skips whole Jacobian assemblies + sparse LUs; the
-    # GMRES path skips averaged-preconditioner builds (m dense LUs).
+    # GMRES path skips averaged-preconditioner builds (one stacked
+    # inverse of ~m/2 dense blocks).
     # Either way the answer is bitwise the same physics; the direct
     # path must show a real measured win and both must hit the cache.
     assert records["direct"]["speedup"] >= 1.1

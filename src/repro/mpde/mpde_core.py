@@ -29,7 +29,6 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -319,31 +318,39 @@ class _MPDEProblem:
 
         return apply
 
-    def averaged_preconditioner(self, g_vals, c_vals):
-        """Frequency-diagonal preconditioner from time-averaged C, G."""
+    def averaged_preconditioner(self, g_vals, c_vals, adjoint=False):
+        """Frequency-diagonal preconditioner from time-averaged C, G.
+
+        Applies ``F^-1 diag(A_k^-1) F`` to a real vector, with blocks
+        ``A_k = lambda_k C_avg + G_avg (+ Y_k)``; ``adjoint=True`` uses
+        ``A_k^-H`` instead, which preconditions the transposed system of
+        the HB adjoint.  ``C_avg``/``G_avg`` are real and ``lambda`` and
+        ``Y`` are conjugate-symmetric, so ``A_-k = conj(A_k)`` and only
+        the ``rfftn`` half-spectrum is inverted, as one stacked inverse.
+        Raises :class:`numpy.linalg.LinAlgError` on a singular block.
+        """
         rows_p, cols_p = self.pattern
-        g_avg = g_vals.mean(axis=1)
-        c_avg = c_vals.mean(axis=1)
-        G_avg = sp.csr_matrix((g_avg, (rows_p, cols_p)), shape=(self.n, self.n)).toarray()
-        C_avg = sp.csr_matrix((c_avg, (rows_p, cols_p)), shape=(self.n, self.n)).toarray()
-        lam = self.grid.combined_eigenvalues().ravel()
-        factors = []
-        for k in range(self.m):
-            A = lam[k] * C_avg + G_avg.astype(complex)
-            for blk, Y in zip(self.fd_blocks, self._fd_Y):
-                for a, pa in enumerate(blk.ports):
-                    for b, pb in enumerate(blk.ports):
-                        A[pa, pb] += Y[k, a, b]
-            factors.append(sla.lu_factor(A))
+        n, shape = self.n, self.grid.shape
+        G_avg = sp.csr_matrix((g_vals.mean(axis=1), (rows_p, cols_p)), shape=(n, n)).toarray()
+        C_avg = sp.csr_matrix((c_vals.mean(axis=1), (rows_p, cols_p)), shape=(n, n)).toarray()
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        lam = self.grid.combined_eigenvalues()[..., : half[-1]].reshape(-1)
+        A = lam[:, None, None] * C_avg + G_avg
+        for blk, Y in zip(self.fd_blocks, self._fd_Y):
+            p = blk.ports.size
+            Y_half = Y.reshape(shape + (p, p))[..., : half[-1], :, :].reshape(-1, p, p)
+            # add.at, not +=: a port listed twice accumulates its entries
+            np.add.at(A, (slice(None), blk.ports[:, None], blk.ports[None, :]), Y_half)
+        inv = np.linalg.inv(A)
+        if adjoint:
+            inv = inv.conj().swapaxes(1, 2)
         axes = tuple(range(self.grid.ndim))
 
         def apply(v):
-            V = self.grid.reshape(np.asarray(v, dtype=complex), self.n)
-            spec = np.fft.fftn(V, axes=axes).reshape(self.m, self.n)
-            for k in range(self.m):
-                spec[k] = sla.lu_solve(factors[k], spec[k])
-            out = np.fft.ifftn(spec.reshape(self.grid.shape + (self.n,)), axes=axes)
-            return np.real(out).reshape(-1)
+            V = self.grid.reshape(np.asarray(v, dtype=float), n)
+            spec = np.fft.rfftn(V, axes=axes)
+            spec = np.matmul(inv, spec.reshape(-1, n, 1)).reshape(half + (n,))
+            return np.fft.irfftn(spec, s=shape, axes=axes).reshape(-1)
 
         return apply
 
@@ -500,8 +507,8 @@ def solve_mpde(
                     # matrix-free GMRES: the operator must be exact at
                     # the current iterate, so the batch Jacobians are
                     # always rebuilt — the reusable (and expensive) part
-                    # is the averaged-circuit preconditioner, one dense
-                    # LU per retained frequency
+                    # is the averaged-circuit preconditioner, a stacked
+                    # dense inverse over the retained frequencies
                     G_big, C_big, g_vals, c_vals = prob.batch_matrices(x_it)
                     perf.jacobian_evals += 1
                     mv = prob.matvec(G_big, C_big)
@@ -682,7 +689,9 @@ def solve_mpde(
                 f"coarsened below {opts.coarsen_floor} samples/axis"
             )
         sub_opts = dataclasses.replace(opts, policy=None, on_failure="raise")
-        sub = solve_mpde(system, grid_c, options=sub_opts, fd_blocks=fd_blocks)
+        sub = solve_mpde(
+            system, grid_c, options=sub_opts, fd_blocks=fd_blocks, on_invalid=on_invalid
+        )
         counters["newton"] += sub.newton_iterations
         counters["gmres"] += sub.gmres_iterations
         it_before = counters["newton"]

@@ -25,8 +25,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.mpde.mpde_core import MPDEOptions, _block_diag_sparse, _MPDEProblem
@@ -40,37 +38,6 @@ from repro.sensitivity.params import ParamSet
 __all__ = ["hb_sensitivity"]
 
 _SOLVERS = ("auto", "direct", "gmres")
-
-
-def _averaged_factors(prob: _MPDEProblem, g_vals, c_vals):
-    """Per-frequency dense LU factors of the averaged circuit."""
-    rows_p, cols_p = prob.pattern
-    n = prob.n
-    G_avg = sp.csr_matrix(
-        (g_vals.mean(axis=1), (rows_p, cols_p)), shape=(n, n)
-    ).toarray()
-    C_avg = sp.csr_matrix(
-        (c_vals.mean(axis=1), (rows_p, cols_p)), shape=(n, n)
-    ).toarray()
-    lam = prob.grid.combined_eigenvalues().ravel()
-    return [sla.lu_factor(lam[k] * C_avg + G_avg.astype(complex)) for k in range(prob.m)]
-
-
-def _averaged_apply(prob: _MPDEProblem, factors, trans: int):
-    """Frequency-diagonal preconditioner apply; ``trans=2`` gives the
-    conjugate-transpose operator ``Mᴴ = F⁻¹ diag(A_kᴴ)⁻¹... F`` used to
-    precondition the adjoint system ``Jᵀ λ = g`` (``M`` real ⇒ Mᵀ = Mᴴ)."""
-    axes = tuple(range(prob.grid.ndim))
-
-    def apply(v):
-        V = prob.grid.reshape(np.asarray(v, dtype=complex), prob.n)
-        spec = np.fft.fftn(V, axes=axes).reshape(prob.m, prob.n)
-        for k in range(prob.m):
-            spec[k] = sla.lu_solve(factors[k], spec[k], trans=trans)
-        out = np.fft.ifftn(spec.reshape(prob.grid.shape + (prob.n,)), axes=axes)
-        return np.real(out).reshape(-1)
-
-    return apply
 
 
 def hb_sensitivity(
@@ -147,8 +114,6 @@ def hb_sensitivity(
         )
 
     # matrix-free route
-    factors = _averaged_factors(prob, g_vals, c_vals)
-
     def solve_one(mv, pc, b):
         res = robust_gmres(
             mv, b, tol=gmres_tol, restart=gmres_restart, maxiter=gmres_maxiter,
@@ -158,7 +123,7 @@ def hb_sensitivity(
 
     if method == "direct":
         mv = prob.matvec(G_big, C_big)
-        pc = _averaged_apply(prob, factors, trans=0)
+        pc = prob.averaged_preconditioner(g_vals, c_vals)
         S = np.column_stack([-solve_one(mv, pc, rhs[:, j]) for j in range(len(ps))])
         return SensitivityResult(
             params=ps.names, x=x, method=method,
@@ -173,7 +138,7 @@ def hb_sensitivity(
         dw = grid.apply_derivative_adjoint(W).reshape(-1)
         return C_bigT @ dw + G_bigT @ w
 
-    pc_T = _averaged_apply(prob, factors, trans=2)
+    pc_T = prob.averaged_preconditioner(g_vals, c_vals, adjoint=True)
     lam = solve_one(matvec_T, pc_T, g)
     return SensitivityResult(
         params=ps.names, x=x, method=method,

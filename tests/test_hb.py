@@ -79,6 +79,33 @@ class TestSolverVariants:
         )
         assert hb.residual_norm < 1e-6
 
+    def test_singular_averaged_block_reaches_escalation_ladder(self):
+        """Node ``a`` reaches ground only through capacitors, so the
+        averaged circuit is singular at DC.  Every rung must fail on a
+        recorded, recoverable error and ``best_effort`` must return an
+        unconverged result; the coarse continuation sub-solve must honour
+        ``on_invalid`` instead of re-linting with ``"raise"``."""
+        ckt = Circuit("capacitive node")
+        ckt.vsource("V1", "in", "0", Sine(1.0, 1e6))
+        ckt.resistor("R1", "in", "b", 1e3)
+        ckt.capacitor("C1", "b", "a", 1e-9)
+        ckt.capacitor("C2", "a", "0", 1e-9)
+        ckt.diode("D1", "b", "0")
+        sys = ckt.compile()
+        hb = harmonic_balance(
+            sys,
+            harmonics=40,
+            on_invalid="ignore",
+            options=MPDEOptions(solver="gmres"),
+            on_failure="best_effort",
+        )
+        assert hb.converged is False
+        errors = {a.strategy: a.failure_cause for a in hb.report.attempts}
+        assert list(errors) == ["direct", "source-ramp", "harmonic-continuation"]
+        assert errors["direct"].startswith("LinAlgError")
+        assert errors["source-ramp"].startswith("LinAlgError")
+        assert errors["harmonic-continuation"].startswith("SolveFailure")
+
 
 class TestTwoTone:
     def make_two_tone_amp(self, a=0.05):

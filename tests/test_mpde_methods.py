@@ -8,16 +8,22 @@ brute-force univariate shooting where that is affordable.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from repro.analysis import shooting_analysis
-from repro.hb import harmonic_balance
+from repro.hb import FrequencyDomainBlock, harmonic_balance
 from repro.mpde import (
+    Axis,
+    MPDEGrid,
     envelope_analysis,
     hierarchical_shooting,
     solve_mfdtd,
     solve_mmft,
 )
+from repro.mpde.mpde_core import MPDEOptions, _MPDEProblem
 from repro.netlist import Circuit, Sine
+from repro.rom import port_descriptor, prima, rom_to_fd_block
 
 
 def small_mixer(f_rf=100e3, f_lo=10e6):
@@ -149,3 +155,121 @@ class TestEnvelope:
     def test_invalid_initial_rejected(self, mixer_system):
         with pytest.raises(ValueError):
             envelope_analysis(mixer_system, 10e6, 1e-6, 0.5e-6, initial="warm")
+
+
+def _reference_preconditioner(prob, g_vals, c_vals, trans=0):
+    """Per-frequency dense LU loop over the full DFT spectrum: the
+    averaged-circuit preconditioner written one retained frequency at a
+    time (``trans=2`` solves with the conjugate-transposed blocks)."""
+    rows_p, cols_p = prob.pattern
+    n, m = prob.n, prob.m
+    G_avg = sp.csr_matrix((g_vals.mean(axis=1), (rows_p, cols_p)), shape=(n, n)).toarray()
+    C_avg = sp.csr_matrix((c_vals.mean(axis=1), (rows_p, cols_p)), shape=(n, n)).toarray()
+    lam = prob.grid.combined_eigenvalues().ravel()
+    factors = []
+    for k in range(m):
+        A = lam[k] * C_avg + G_avg.astype(complex)
+        for blk, Y in zip(prob.fd_blocks, prob._fd_Y):
+            for a, pa in enumerate(blk.ports):
+                for b, pb in enumerate(blk.ports):
+                    A[pa, pb] += Y[k, a, b]
+        factors.append(sla.lu_factor(A))
+    axes = tuple(range(prob.grid.ndim))
+
+    def apply(v):
+        V = prob.grid.reshape(np.asarray(v, dtype=complex), n)
+        spec = np.fft.fftn(V, axes=axes).reshape(m, n)
+        for k in range(m):
+            spec[k] = sla.lu_solve(factors[k], spec[k], trans=trans)
+        out = np.fft.ifftn(spec.reshape(prob.grid.shape + (n,)), axes=axes)
+        return np.real(out).reshape(-1)
+
+    return apply
+
+
+def _pc_host():
+    ckt = Circuit("pc host")
+    ckt.vsource("V1", "in", "0", Sine(0.8, 1e6))
+    ckt.resistor("Rs", "in", "a", 100.0)
+    ckt.diode("D1", "a", "b")
+    ckt.capacitor("Ca", "a", "0", 1e-10)
+    ckt.resistor("Rb", "b", "0", 1e3)
+    ckt.capacitor("Cb", "b", "0", 2e-10)
+    ckt.inductor("Lb", "b", "c", 1e-5)
+    ckt.resistor("Rc", "c", "0", 50.0)
+    return ckt.compile()
+
+
+class TestAveragedPreconditioner:
+    """The batched half-spectrum preconditioner against the reference
+    loop.  The relative tolerance of 1e-10 was fixed in advance: both
+    sides compute in float64 and differ only in rounding (stacked
+    inverse vs LU solves, half vs full spectrum), amplified by the
+    condition number of the blocks."""
+
+    RTOL = 1e-10
+
+    def _problem(self, axes, fd_blocks=None, system=None):
+        system = system or _pc_host()
+        grid = MPDEGrid([Axis(kind, f, size) for kind, f, size in axes])
+        prob = _MPDEProblem(system, grid, fd_blocks, MPDEOptions())
+        rng = np.random.default_rng(grid.total)
+        cols = rng.normal(scale=0.3, size=(system.n, grid.total))
+        g_vals, c_vals = system.batch_jacobians(cols)
+        return prob, g_vals, c_vals, rng
+
+    def _check(self, prob, g_vals, c_vals, rng, adjoint=False):
+        new = prob.averaged_preconditioner(g_vals, c_vals, adjoint=adjoint)
+        ref = _reference_preconditioner(prob, g_vals, c_vals, trans=2 if adjoint else 0)
+        for _ in range(3):
+            v = rng.standard_normal(prob.n * prob.m)
+            out, want = new(v), ref(v)
+            assert out.dtype == np.float64 and out.shape == want.shape
+            assert np.linalg.norm(out - want) <= self.RTOL * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            [("fourier", 1e6, 16)],
+            [("fourier", 1e6, 15)],
+            [("fourier", 1e6, 6), ("fourier", 1.3e6, 8)],
+            [("fourier", 1e6, 6), ("fourier", 1.3e6, 9)],
+            [("fourier", 1e6, 7), ("fourier", 1.3e6, 5)],
+            [("fd", 1e6, 12)],
+            [("fd2", 1e6, 11)],
+            [("fourier", 1e5, 5), ("fd", 1e6, 10)],
+            [("fd", 1e5, 7), ("fd2", 1e6, 8)],
+        ],
+        ids=lambda axes: "x".join(f"{k}{n}" for k, _, n in axes),
+    )
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+    def test_matches_per_frequency_lu(self, axes, adjoint):
+        self._check(*self._problem(axes), adjoint=adjoint)
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+    def test_matches_per_frequency_lu_with_fd_blocks(self, adjoint):
+        ladder = Circuit("ladder")
+        ladder.vsource("Vp", "n0", "0", 0.0)
+        for k in range(12):
+            ladder.resistor(f"R{k}", f"n{k}", f"n{k+1}", 20.0)
+            ladder.capacitor(f"C{k}", f"n{k+1}", "0", 0.5e-12)
+        ladder.resistor("Rload", "n12", "0", 200.0)
+        rom = prima(port_descriptor(ladder.compile(), ["Vp"]), 6)
+        system = _pc_host()
+        a, b = system.node("a"), system.node("b")
+
+        def shunt_rc(omega):
+            omega = np.atleast_1d(omega)
+            y = np.empty((omega.size, 2, 2), dtype=complex)
+            y[:, 0, 0] = y[:, 1, 1] = 1e-3 + 1j * omega * 1e-10
+            y[:, 0, 1] = y[:, 1, 0] = -1j * omega * 3e-11
+            return y
+
+        blocks = [
+            rom_to_fd_block(system, rom, ["b"]),
+            FrequencyDomainBlock(ports=np.array([a, b]), admittance=shunt_rc),
+            # a port listed twice accumulates, as in the per-frequency loop
+            FrequencyDomainBlock(ports=np.array([a, a]), admittance=shunt_rc),
+        ]
+        for axes in ([("fourier", 1e8, 16)], [("fourier", 1e8, 6), ("fourier", 1.3e8, 7)]):
+            self._check(*self._problem(axes, blocks, system), adjoint=adjoint)
