@@ -104,6 +104,23 @@ def dc_analysis(
         the solve under the default.
     """
     validation = enforce(preflight(system, "dc"), on_invalid)
+    res = _dc_solve(system, x0, abstol, maxiter, dx_limit, policy, on_failure)
+    res.validation = validation
+    return res
+
+
+def _dc_solve(
+    system: MNASystem,
+    x0: Optional[np.ndarray] = None,
+    abstol: float = 1e-9,
+    maxiter: int = 100,
+    dx_limit: float = 2.0,
+    policy: Optional[EscalationPolicy] = None,
+    on_failure: Optional[str] = None,
+) -> DCResult:
+    """:func:`dc_analysis` without its pre-flight lint, for analyses
+    that lint the system themselves before asking for an operating
+    point; the result carries no ``validation``."""
     b = system.b_dc()
     guess = np.zeros(system.n) if x0 is None else np.asarray(x0, dtype=float)
     opts = NewtonOptions(abstol=abstol, maxiter=maxiter, dx_limit=dx_limit)
@@ -224,5 +241,4 @@ def dc_analysis(
         residual_norm=norm,
         converged=rep.converged,
         report=rep,
-        validation=validation,
     )

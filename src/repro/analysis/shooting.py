@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from repro.analysis.dc import dc_analysis
+from repro.analysis.dc import _dc_solve
 from repro.linalg import ConvergenceError, NewtonOptions, attach_failure_payload, newton_solve
 from repro.netlist.mna import MNASystem
 from repro.robust import EscalationPolicy, RungOutcome, SolveReport, run_ladder
@@ -173,7 +173,7 @@ def shooting_analysis(
     """
     validation = enforce(preflight(system, "shooting", period=period), on_invalid)
     guess = (
-        dc_analysis(system, on_invalid="ignore").x
+        _dc_solve(system).x  # already linted above
         if x0 is None
         else np.asarray(x0, dtype=float)
     )

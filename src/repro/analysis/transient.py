@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from repro.analysis.dc import dc_analysis
+from repro.analysis.dc import _dc_solve
 from repro.linalg import ConvergenceError, NewtonOptions, newton_solve
 from repro.netlist.mna import MNASystem
 from repro.perf import FactorCache, PerfCounters
@@ -87,8 +87,24 @@ def step_once(
     steps sharing ``cache_key`` (i.e. while ``h`` is unchanged), with
     fail-closed refresh on any residual-increasing stale step.
     """
+    x_next, iters, _ = _step(
+        system, x_prev, system.batch_fq(x_prev), t_prev, h, method,
+        newton_opts, cache, cache_key,
+    )
+    return x_next, iters
+
+
+def _step(system, x_prev, fq_prev, t_prev, h, method, newton_opts, cache, cache_key):
+    """:func:`step_once` from a point whose ``(f, q)`` are already known.
+
+    Returns ``(x_next, newton_iterations, (f, q) at x_next)``.  Each
+    Newton iterate costs one device pass (:meth:`MNASystem.batch_fq`);
+    the residual at ``x_prev`` itself, Newton's starting point, reuses
+    ``fq_prev``, and the converged point's ``(f, q)`` come back from the
+    last residual evaluation, so the next step starts without a pass.
+    """
     t_next = t_prev + h
-    q_prev = system.q(x_prev)
+    f_prev, q_prev = fq_prev
     b_next = system.b(t_next)
     opts = newton_opts or NewtonOptions(abstol=1e-9, maxiter=50, dx_limit=2.0)
 
@@ -97,12 +113,20 @@ def step_once(
         hist = np.zeros(system.n)
     elif method == "trap":
         alpha = 0.5
-        hist = 0.5 * (system.f(x_prev) - system.b(t_prev))
+        hist = 0.5 * (f_prev - system.b(t_prev))
     else:
         raise ValueError(f"unknown method {method!r} (use 'be' or 'trap')")
 
+    x_bits = np.asarray(x_prev, dtype=float).tobytes()
+    last_x, last_fq = None, None  # most recent residual point
+
     def residual(x):
-        return (system.q(x) - q_prev) / h + alpha * (system.f(x) - b_next) + hist
+        nonlocal last_x, last_fq
+        # Newton starts from a copy of x_prev: same bits, same (f, q)
+        fq = fq_prev if x.tobytes() == x_bits else system.batch_fq(x)
+        last_x, last_fq = x, fq
+        f, q = fq
+        return (q - q_prev) / h + alpha * (f - b_next) + hist
 
     def jacobian(x):
         return (system.C(x) / h + alpha * system.G(x)).tocsc()
@@ -115,7 +139,9 @@ def step_once(
         c.jacobian_evals += res.jacobian_evals
         c.jacobian_evals_saved += res.factor_reuses
         c.stale_refreshes += res.stale_refreshes
-    return res.x, res.iterations
+    # newton_solve returns the last point it evaluated the residual at
+    fq_next = last_fq if res.x is last_x else system.batch_fq(res.x)
+    return res.x, res.iterations, fq_next
 
 
 @traceable
@@ -196,8 +222,10 @@ def transient_analysis(
     if x0 is None:
         # already linted above; don't lint (or raise) twice
         with counters.stage("dc"):
-            x0 = dc_analysis(system, on_invalid="ignore").x
+            x0 = _dc_solve(system).x
     x = np.asarray(x0, dtype=float).copy()
+    # (f, q) at the accepted point, carried from step to step
+    fq = system.batch_fq(x)
 
     # LTE is only meaningful for unknowns with dynamics: algebraic
     # variables (e.g. source branch currents) follow instantaneously and
@@ -286,8 +314,8 @@ def transient_analysis(
             return give_up(f"exceeded {max_steps} steps")
         h = min(h, t_stop - t)
         try:
-            x_new, iters = step_once(
-                system, x, t, h, method, cache=cache, cache_key=("step", method, h)
+            x_new, iters, fq_new = _step(
+                system, x, fq, t, h, method, None, cache, ("step", method, h)
             )
         except ConvergenceError as exc:
             rejected += 1
@@ -364,7 +392,7 @@ def transient_analysis(
                 "transient.step", t=float(t), h=float(h), iters=iters, accepted=True
             )
         t += h
-        x = x_new
+        x, fq = x_new, fq_new
         times.append(t)
         states.append(x.copy())
         if callback is not None:

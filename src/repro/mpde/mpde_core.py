@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.analysis.dc import dc_analysis
+from repro.analysis.dc import _dc_solve
 from repro.linalg import ConvergenceError, attach_failure_payload
 from repro.mpde.grid import Axis, MPDEGrid
 from repro.netlist.mna import MNASystem
@@ -433,7 +433,8 @@ def solve_mpde(
     t_begin = time.perf_counter()
 
     if x0 is None:
-        x_dc = dc_analysis(system, on_invalid="ignore").x
+        # already linted above; don't lint twice
+        x_dc = _dc_solve(system).x
         x_init = np.tile(x_dc, grid.total)
     else:
         x_init = np.asarray(x0, dtype=float).copy()

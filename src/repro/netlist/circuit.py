@@ -108,7 +108,7 @@ class Circuit:
 
         return lint_circuit(self)
 
-    def compile(self, on_invalid: Optional[str] = None, vectorize=None) -> MNASystem:
+    def compile(self, on_invalid: Optional[str] = None) -> MNASystem:
         """Assign global indices, bind devices, and build the MNA system.
 
         ``on_invalid`` controls what happens when the pre-flight lint
@@ -119,11 +119,6 @@ class Circuit:
         (``None``) records without enforcing — the report is attached to
         the returned system as ``system.validation`` and the analysis
         entry points apply their own policy.
-
-        ``vectorize`` selects the nonlinear stamping path (see
-        :mod:`repro.netlist.mna`): ``True``/``"vectorized"`` for the
-        batched path, ``False``/``"scalar"`` for the per-device
-        reference, ``None`` (default) to consult ``REPRO_STAMP_MODE``.
         """
         names = self.node_names()
         index = {name: i for i, name in enumerate(names)}
@@ -144,7 +139,6 @@ class Circuit:
             devices=list(self.devices),
             node_names=names,
             branch_owner=branch_owner,
-            vectorize=vectorize,
         )
         from repro.robust.diagnostics import enforce
 

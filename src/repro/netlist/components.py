@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +58,18 @@ __all__ = [
 
 BOLTZMANN = 1.380649e-23
 ELEMENTARY_CHARGE = 1.602176634e-19
+
+
+# Bumped by every Device.set_param.  Compiled systems gather the
+# parameter columns of their device groups once and gather them again
+# only when this count has moved (see MNASystem).
+_param_version = 0
+_param_version_lock = threading.Lock()
+
+
+def param_version() -> int:
+    """How many :meth:`Device.set_param` calls this process has made."""
+    return _param_version
 
 
 def thermal_voltage(temp_kelvin: float = 300.0) -> float:
@@ -163,21 +176,28 @@ class Device:
         """Batch-evaluation family, or None to evaluate per device.
 
         Devices returning the same key are stacked into one numpy batch
-        and evaluated through the class's :meth:`nl_eval_group` by the
-        vectorized stamping path in :class:`~repro.netlist.mna.MNASystem`
-        — one call per device *type* instead of one Python-level call
-        per device.  Classes whose evaluation involves per-device user
-        callables (:class:`NonlinearResistor`, :class:`NonlinearCapacitor`)
-        keep the default ``None`` and stay on the per-device path.
+        and evaluated through the class's :meth:`nl_eval_group` by
+        :class:`~repro.netlist.mna.MNASystem` — one call per device
+        *type* instead of one Python-level call per device.  Classes
+        whose evaluation involves per-device user callables
+        (:class:`NonlinearResistor`, :class:`NonlinearCapacitor`) keep
+        the default ``None`` and are evaluated one by one.
         """
         return None
 
+    #: scalar attributes :meth:`nl_eval_group` reads; the compiled
+    #: system gathers them into ``(d, 1)`` columns once and again only
+    #: after a :meth:`set_param`
+    nl_group_params: Tuple[str, ...] = ()
+
     @classmethod
-    def nl_eval_group(cls, devices: Sequence["Device"], V: np.ndarray):
+    def nl_eval_group(cls, params, V: np.ndarray):
         """Batched :meth:`nl_eval` over ``d`` same-class devices.
 
-        ``V`` has shape ``(d, k_in, m)``; returns ``(f, q, df, dq)``
-        with ``f, q`` of shape ``(d, k_eq, m)`` and ``df, dq`` of shape
+        ``params`` maps each name in :attr:`nl_group_params` to its
+        read-only ``(d, 1)`` column across the batch.  ``V`` has shape
+        ``(d, k_in, m)``; returns ``(f, q, df, dq)`` with ``f, q`` of
+        shape ``(d, k_eq, m)`` and ``df, dq`` of shape
         ``(d, k_eq, k_in, m)``.  Implementations must mirror
         :meth:`nl_eval` operation-for-operation (same expressions, same
         association order) so the batched path is bit-identical to the
@@ -214,9 +234,15 @@ class Device:
 
         Subclasses with derived attributes (e.g. the diode's ``vt``)
         override this so the finite-difference fallbacks stay honest.
+        Each call marks the parameter columns that compiled systems
+        cache stale, so change parameters through this method, never by
+        assigning the attribute.
         """
+        global _param_version
         self.get_param(name)  # validates existence and scalarity
         setattr(self, name, float(value))
+        with _param_version_lock:
+            _param_version += 1
 
     def _fd_step(self, name: str) -> float:
         return self._FD_REL_STEP * max(1.0, abs(self.get_param(name)))
@@ -275,11 +301,6 @@ class Device:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"{type(self).__name__}({self.name}, nodes={self.nodes})"
-
-
-def _param_column(devices: Sequence["Device"], attr: str) -> np.ndarray:
-    """(d, 1) float column of one scalar parameter across a batch."""
-    return np.array([getattr(dev, attr) for dev in devices], dtype=float)[:, None]
 
 
 def _two_node_stamps(i: int, j: int, val: float) -> List[Tuple[int, int, float]]:
@@ -657,15 +678,17 @@ class Diode(Device):
     def nl_group_key(self):
         return "diode"
 
+    nl_group_params = ("isat", "vt", "gmin", "tt", "cj0")
+
     @classmethod
-    def nl_eval_group(cls, devices, V):
+    def nl_eval_group(cls, params, V):
         # mirrors nl_eval/current with a leading device axis; parameter
         # columns broadcast against the (d, m) sample planes
-        isat = _param_column(devices, "isat")
-        vt = _param_column(devices, "vt")
-        gmin = _param_column(devices, "gmin")
-        tt = _param_column(devices, "tt")
-        cj0 = _param_column(devices, "cj0")
+        isat = params["isat"]
+        vt = params["vt"]
+        gmin = params["gmin"]
+        tt = params["tt"]
+        cj0 = params["cj0"]
         vd = V[:, 0] - V[:, 1]
         e, de = limexp(vd / vt)
         i = isat * (e - 1.0) + gmin * vd
@@ -853,18 +876,22 @@ class BJT(Device):
     def nl_group_key(self):
         return "bjt"
 
+    nl_group_params = (
+        "polarity", "isat", "vt", "gmin", "beta_f", "beta_r", "tf", "cje", "cjc",
+    )
+
     @classmethod
-    def nl_eval_group(cls, devices, V):
+    def nl_eval_group(cls, params, V):
         # mirrors nl_eval/_junction_currents with a leading device axis
-        p = _param_column(devices, "polarity")
-        isat = _param_column(devices, "isat")
-        vt = _param_column(devices, "vt")
-        gmin = _param_column(devices, "gmin")
-        beta_f = _param_column(devices, "beta_f")
-        beta_r = _param_column(devices, "beta_r")
-        tf = _param_column(devices, "tf")
-        cje = _param_column(devices, "cje")
-        cjc = _param_column(devices, "cjc")
+        p = params["polarity"]
+        isat = params["isat"]
+        vt = params["vt"]
+        gmin = params["gmin"]
+        beta_f = params["beta_f"]
+        beta_r = params["beta_r"]
+        tf = params["tf"]
+        cje = params["cje"]
+        cjc = params["cjc"]
 
         vc, vb, ve = V[:, 0], V[:, 1], V[:, 2]
         vbe = p * (vb - ve)
@@ -1101,16 +1128,18 @@ class MOSFET(Device):
         go = np.where(on, go, zero)
         return ids, gm, go
 
+    nl_group_params = ("polarity", "kp", "vth", "lam", "gmin", "cgs", "cgd")
+
     @classmethod
-    def nl_eval_group(cls, devices, V):
+    def nl_eval_group(cls, params, V):
         # mirrors nl_eval with a leading device axis
-        p = _param_column(devices, "polarity")
-        kp = _param_column(devices, "kp")
-        vth = _param_column(devices, "vth")
-        lam = _param_column(devices, "lam")
-        gmin = _param_column(devices, "gmin")
-        cgs = _param_column(devices, "cgs")
-        cgd = _param_column(devices, "cgd")
+        p = params["polarity"]
+        kp = params["kp"]
+        vth = params["vth"]
+        lam = params["lam"]
+        gmin = params["gmin"]
+        cgs = params["cgs"]
+        cgd = params["cgd"]
 
         vd, vg, vs = V[:, 0], V[:, 1], V[:, 2]
         vds_raw = p * (vd - vs)
@@ -1301,12 +1330,14 @@ class SwitchConductance(Device):
     def nl_group_key(self):
         return "switch"
 
+    nl_group_params = ("g_on", "g_off", "sharpness")
+
     @classmethod
-    def nl_eval_group(cls, devices, V):
+    def nl_eval_group(cls, params, V):
         # mirrors nl_eval/conductance with a leading device axis
-        g_on = _param_column(devices, "g_on")
-        g_off = _param_column(devices, "g_off")
-        sharpness = _param_column(devices, "sharpness")
+        g_on = params["g_on"]
+        g_off = params["g_off"]
+        sharpness = params["sharpness"]
         v1, v2, cp, cn = V[:, 0], V[:, 1], V[:, 2], V[:, 3]
         vc = cp - cn
         vs = v1 - v2

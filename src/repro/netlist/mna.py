@@ -10,70 +10,35 @@ single operating point (sparse matrices, used by DC/AC/transient) and in
 *batch* over many time samples at once (used by the HB/MPDE engines,
 where one Newton iteration touches an entire periodic grid).
 
-Stamping paths
---------------
-Nonlinear devices are evaluated through one of two equivalent paths:
-
-* **vectorized** (default): devices are grouped by type
-  (``Device.nl_group_key``) and each group is evaluated as one numpy
-  batch through ``Device.nl_eval_group``; results are scattered into
-  preallocated index structures (``np.add.at`` for f/q, precomputed
-  COO row/col arrays for the Jacobians).  One Python-level call per
-  device *type* instead of one per device.
-* **scalar**: the historical per-device loop, kept as the reference
-  implementation.
-
-Both paths share one canonical device ordering (batchable families
-grouped by first occurrence, netlist order within a family) and mirror
-each other operation-for-operation, so their outputs are bit-identical
-— ``tests/test_properties.py`` pins this down on random circuits.
-Select with ``compile(vectorize=...)`` or the ``REPRO_STAMP_MODE``
-environment variable (``"vectorized"`` | ``"scalar"``).
+Device evaluation
+-----------------
+Nonlinear devices are grouped by type (``Device.nl_group_key``) and each
+group is evaluated as one numpy batch (``Device.nl_eval_group``) with
+parameter columns it gathers again only after a ``Device.set_param``.
+One pass over the groups serves ``f``, ``q``, ``G``, ``C``,
+``batch_fq`` (both terms: use it when both are needed) and
+``batch_jacobians`` alike, scattering through index arrays built at
+compile time.  Groups follow one canonical device order, and the batch
+mirrors ``Device.nl_eval`` operation for operation, so every output is
+bit-identical to a per-device loop over that order — the tests keep
+such a loop (``tests/stamp_reference.py``) as the reference.
 
 Compiled systems pickle (for the process-backend sweep executor) by
 re-running compilation from the device list on unpickle — the noise
-closures and index structures are rebuilt, not serialized.
+closures, index structures and parameter columns are rebuilt, not
+serialized.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.netlist.components import Device, NoiseSource
+from repro.netlist.components import Device, NoiseSource, param_version
 
-__all__ = ["MNASystem", "STAMP_ENV", "resolve_stamp_mode"]
-
-STAMP_ENV = "REPRO_STAMP_MODE"
-
-_STAMP_MODES = ("vectorized", "scalar")
-
-
-def resolve_stamp_mode(mode=None) -> str:
-    """Normalize a stamping-mode request to ``"vectorized"`` | ``"scalar"``.
-
-    ``mode`` may be a mode name, a boolean (``True`` -> vectorized), or
-    ``None`` to consult the ``REPRO_STAMP_MODE`` environment variable
-    (default ``"vectorized"``).  Unknown values raise ``ValueError``.
-    """
-    if mode is None:
-        mode = os.environ.get(STAMP_ENV) or "vectorized"
-    if isinstance(mode, bool):
-        return "vectorized" if mode else "scalar"
-    if not isinstance(mode, str):
-        raise ValueError(
-            f"stamp mode must be a string or bool, got {type(mode).__name__}"
-        )
-    norm = mode.strip().lower()
-    if norm not in _STAMP_MODES:
-        raise ValueError(
-            f"unknown stamp mode {mode!r}; expected one of {_STAMP_MODES} "
-            f"(set via argument or ${STAMP_ENV})"
-        )
-    return norm
+__all__ = ["MNASystem"]
 
 
 class _NLGroup:
@@ -81,7 +46,7 @@ class _NLGroup:
 
     Holds ``d`` same-family devices (``d == 1`` for devices that opt out
     of batching via ``nl_group_key() is None``) together with the index
-    arrays the vectorized stamping path needs:
+    arrays the stamping pass needs:
 
     * ``var_safe``/``var_mask`` — gather ``(d, k_in, m)`` local voltages
       from a state block, grounds reading as 0;
@@ -96,8 +61,6 @@ class _NLGroup:
         "devices",
         "cls",
         "batched",
-        "entries",
-        "var_idx",
         "var_safe",
         "var_mask",
         "eq_rows",
@@ -106,16 +69,15 @@ class _NLGroup:
         "jac_cols",
         "jac_valid",
         "jac_nnz",
+        "_params",
     )
 
     def __init__(self, entries, batched: bool):
-        self.entries = entries
         self.devices = [dev for dev, _, _ in entries]
         self.cls = type(self.devices[0])
         self.batched = batched
         var_idx = np.stack([v for _, v, _ in entries])  # (d, k_in)
         eq_idx = np.stack([e for _, _, e in entries])  # (d, k_eq)
-        self.var_idx = var_idx
         self.var_safe = np.where(var_idx >= 0, var_idx, 0)
         self.var_mask = (var_idx >= 0)[..., None]
         eq_flat = eq_idx.reshape(-1)
@@ -128,16 +90,32 @@ class _NLGroup:
         self.jac_rows = rows.reshape(-1)[self.jac_valid]
         self.jac_cols = cols.reshape(-1)[self.jac_valid]
         self.jac_nnz = int(self.jac_rows.size)
+        self._params = (-1, None)
+
+    def params(self) -> dict:
+        """Read-only ``(d, 1)`` parameter columns, gathered again only
+        after a ``set_param``.  The cache is replaced as one tuple (no
+        thread sees it half built), and the version is read before the
+        gather, so a racing ``set_param`` leaves it marked stale."""
+        version = param_version()
+        cached = self._params
+        if cached[0] != version:
+            columns = {}
+            for name in self.cls.nl_group_params:
+                col = np.array(
+                    [getattr(dev, name) for dev in self.devices], dtype=float
+                )[:, None]
+                col.flags.writeable = False
+                columns[name] = col
+            cached = self._params = (version, columns)
+        return cached[1]
 
     def eval(self, x2d: np.ndarray):
         """(f, q, df, dq) with a leading device axis of length ``d``."""
+        V = np.where(self.var_mask, x2d[self.var_safe], 0.0)
         if self.batched:
-            V = np.where(self.var_mask, x2d[self.var_safe], 0.0)
-            return self.cls.nl_eval_group(self.devices, V)
-        # solo device: per-device reference evaluation, d == 1
-        dev, var_idx, _ = self.entries[0]
-        V = MNASystem._local_voltages(x2d, var_idx)
-        f, q, df, dq = dev.nl_eval(V)
+            return self.cls.nl_eval_group(self.params(), V)
+        f, q, df, dq = self.devices[0].nl_eval(V[0])
         return f[None], q[None], df[None], dq[None]
 
 
@@ -153,10 +131,6 @@ class MNASystem:
         ``i < len(node_names)`` is the voltage of ``node_names[i]``.
     branch_owner:
         Device name owning each branch-current unknown.
-    vectorize:
-        True when the batched stamping path is active (see module
-        docstring); flip via the ``vectorize=`` compile argument or
-        ``REPRO_STAMP_MODE``.
     """
 
     def __init__(
@@ -165,13 +139,11 @@ class MNASystem:
         devices: Sequence[Device],
         node_names: Sequence[str],
         branch_owner: Sequence[str],
-        vectorize=None,
     ):
         self.title = title
         self.devices = list(devices)
         self.node_names = list(node_names)
         self.branch_owner = list(branch_owner)
-        self.vectorize = resolve_stamp_mode(vectorize) == "vectorized"
         self.n = len(node_names) + len(branch_owner)
         self._node_index = {name: i for i, name in enumerate(node_names)}
         # first-occurrence wins, matching the historical linear scan for
@@ -196,7 +168,6 @@ class MNASystem:
             "devices": self.devices,
             "node_names": self.node_names,
             "branch_owner": self.branch_owner,
-            "vectorize": self.vectorize,
             "validation": self.validation,
         }
 
@@ -206,7 +177,6 @@ class MNASystem:
             state["devices"],
             state["node_names"],
             state["branch_owner"],
-            vectorize=state["vectorize"],
         )
         self.validation = state.get("validation")
 
@@ -215,12 +185,13 @@ class MNASystem:
         """Rebuild cached stamp structures after device parameters change.
 
         The sensitivity/exploration layer mutates device parameters in
-        place (``Device.set_param``); nonlinear evaluation reads the
-        attributes live, but the linear ``G_lin``/``C_lin`` matrices and
-        the excitation row lists are assembled once at compile time and
-        must be refreshed here.  ``sources=True`` additionally re-scans
-        ``b_stamps`` (only needed when waveform *objects* were replaced
-        — in-place waveform attribute mutation is picked up live).
+        place (``Device.set_param``); the nonlinear groups' parameter
+        columns notice that by themselves, but the linear
+        ``G_lin``/``C_lin`` matrices and the excitation row lists are
+        assembled once at compile time and must be refreshed here.
+        ``sources=True`` additionally re-scans ``b_stamps`` (only needed
+        when waveform *objects* were replaced — in-place waveform
+        attribute mutation is picked up live).
         """
         if linear:
             self._build_linear()
@@ -273,12 +244,10 @@ class MNASystem:
             if dev.nonlinear:
                 var_idx, eq_idx = dev.nl_ports()
                 entries.append((dev, np.asarray(var_idx), np.asarray(eq_idx)))
-        # canonical ordering shared by BOTH stamping paths: batchable
-        # families grouped by first occurrence of their group key (netlist
-        # order within a family); unbatchable devices are solo groups in
-        # place.  Scalar and vectorized stamping therefore visit devices
-        # in the same sequence and produce bit-identical sums and
-        # identically-ordered Jacobian patterns.
+        # canonical ordering: batchable families grouped by first
+        # occurrence of their group key (netlist order within a family);
+        # unbatchable devices are solo groups in place.  A per-device
+        # loop in this order reproduces every sum bit for bit.
         grouped: dict = {}
         order: List[object] = []
         solo_keys = set()
@@ -291,13 +260,16 @@ class MNASystem:
                 grouped[key] = []
                 order.append(key)
             grouped[key].append(entry)
-        self._nl: List[Tuple[Device, np.ndarray, np.ndarray]] = [
-            e for key in order for e in grouped[key]
-        ]
-        self.has_nonlinear = bool(self._nl)
         self._nl_groups: List[_NLGroup] = [
             _NLGroup(grouped[key], batched=key not in solo_keys) for key in order
         ]
+        # COO coordinates of every nonlinear Jacobian entry, group order
+        self._nl_rows = np.concatenate(
+            [np.zeros(0, dtype=int)] + [g.jac_rows for g in self._nl_groups]
+        )
+        self._nl_cols = np.concatenate(
+            [np.zeros(0, dtype=int)] + [g.jac_cols for g in self._nl_groups]
+        )
 
     def _build_sources(self) -> None:
         rows, waves, signs = [], [], []
@@ -315,66 +287,65 @@ class MNASystem:
             self.noise_sources.extend(dev.noise_sources())
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _local_voltages(x: np.ndarray, var_idx: np.ndarray) -> np.ndarray:
-        """Gather device-local variables; ground (-1) reads as 0."""
-        V = np.zeros((len(var_idx), x.shape[1]))
-        for k, idx in enumerate(var_idx):
-            if idx >= 0:
-                V[k] = x[idx]
-        return V
-
-    def _eval_nl(self, x2d: np.ndarray):
-        """Yield (dev, var_idx, eq_idx, f, q, df, dq) over nonlinear devices.
-
-        The scalar reference path: one ``nl_eval`` call per device, in
-        the canonical ``self._nl`` order.
-        """
-        for dev, var_idx, eq_idx in self._nl:
-            V = self._local_voltages(x2d, var_idx)
-            f, q, df, dq = dev.nl_eval(V)
-            yield dev, var_idx, eq_idx, f, q, df, dq
-
     def _as2d(self, x: np.ndarray) -> Tuple[np.ndarray, bool]:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return x[:, None], True
         return x, False
 
-    # --- DAE terms -------------------------------------------------------
-    def _add_nl_term(self, out: np.ndarray, x2d: np.ndarray, which: str) -> None:
-        """Accumulate nonlinear f or q contributions onto ``out`` in place."""
-        if not self.has_nonlinear:
-            return
-        if self.vectorize:
-            for grp in self._nl_groups:
-                fv, qv, _, _ = grp.eval(x2d)
-                vals = fv if which == "f" else qv
-                # np.add.at is unbuffered and applies additions in index
-                # order — the same (device, port) sequence as the scalar
-                # loop, so duplicate-row sums are bit-identical
-                flat = vals.reshape(-1, vals.shape[-1])
-                np.add.at(out, grp.eq_rows, flat[grp.eq_valid])
-            return
-        for _, _, eq_idx, fv, qv, _, _ in self._eval_nl(x2d):
-            vals = fv if which == "f" else qv
-            for k, row in enumerate(eq_idx):
-                if row >= 0:
-                    out[row] += vals[k]
+    def _device_pass(self, x2d, f=None, q=None, g_vals=None, c_vals=None) -> None:
+        """Evaluate every device group once at the samples ``x2d`` (n, m).
 
+        Nonlinear contributions accumulate onto whichever of ``f``/``q``
+        (n, m) are given; Jacobian entries are written into
+        ``g_vals``/``c_vals`` (one row per nonlinear pattern entry, in
+        :meth:`jacobian_pattern` order).  Every public evaluator is a
+        view of this one pass.
+        """
+        m = x2d.shape[1]
+        pos = 0
+        for grp in self._nl_groups:
+            fv, qv, dfv, dqv = grp.eval(x2d)
+            # np.add.at is unbuffered and applies additions in index
+            # order — the canonical (device, port) sequence, so duplicate
+            # rows sum exactly as a per-device loop would
+            if f is not None:
+                np.add.at(f, grp.eq_rows, fv.reshape(-1, m)[grp.eq_valid])
+            if q is not None:
+                np.add.at(q, grp.eq_rows, qv.reshape(-1, m)[grp.eq_valid])
+            # C-order flatten of (d, k_eq, k_in) is the (device, eq, var)
+            # loop nest of the pattern, entry for entry
+            end = pos + grp.jac_nnz
+            if g_vals is not None:
+                g_vals[pos:end] = dfv.reshape(-1, m)[grp.jac_valid]
+            if c_vals is not None:
+                c_vals[pos:end] = dqv.reshape(-1, m)[grp.jac_valid]
+            pos = end
+
+    # --- DAE terms -------------------------------------------------------
     def f(self, x: np.ndarray) -> np.ndarray:
         """Resistive term f(x); accepts (n,) or (n, m)."""
         x2d, squeeze = self._as2d(x)
         out = self.G_lin @ x2d
-        self._add_nl_term(out, x2d, "f")
+        self._device_pass(x2d, f=out)
         return out[:, 0] if squeeze else out
 
     def q(self, x: np.ndarray) -> np.ndarray:
         """Charge/flux term q(x); accepts (n,) or (n, m)."""
         x2d, squeeze = self._as2d(x)
         out = self.C_lin @ x2d
-        self._add_nl_term(out, x2d, "q")
+        self._device_pass(x2d, q=out)
         return out[:, 0] if squeeze else out
+
+    def batch_fq(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(f(X), q(X)) from one device pass; accepts (n,) or (n, m)."""
+        x2d, squeeze = self._as2d(X)
+        f = self.G_lin @ x2d
+        q = self.C_lin @ x2d
+        self._device_pass(x2d, f=f, q=q)
+        if squeeze:
+            return f[:, 0], q[:, 0]
+        return f, q
 
     def b(self, t) -> np.ndarray:
         """Excitation vector; scalar t -> (n,), array t (m,) -> (n, m)."""
@@ -406,40 +377,16 @@ class MNASystem:
     def _point_jacobian(self, x: np.ndarray, which: str) -> sp.csr_matrix:
         x2d, _ = self._as2d(x)
         base = self.G_lin if which == "G" else self.C_lin
-        if not self.has_nonlinear:
+        if not self._nl_rows.size:
             return base.copy()
-        if self.vectorize:
-            rows_parts, cols_parts, vals_parts = [], [], []
-            for grp in self._nl_groups:
-                _, _, df, dq = grp.eval(x2d)
-                block = df if which == "G" else dq
-                # C-order flatten of (d, k_eq, k_in) matches the scalar
-                # (device, eq, var) loop nest entry-for-entry
-                vals_parts.append(block[..., 0].reshape(-1)[grp.jac_valid])
-                rows_parts.append(grp.jac_rows)
-                cols_parts.append(grp.jac_cols)
-            rows = np.concatenate(rows_parts)
-            cols = np.concatenate(cols_parts)
-            vals = np.concatenate(vals_parts)
+        vals = np.empty((self._nl_rows.size, x2d.shape[1]))
+        if which == "G":
+            self._device_pass(x2d, g_vals=vals)
         else:
-            lrows: List[int] = []
-            lcols: List[int] = []
-            lvals: List[float] = []
-            for _, var_idx, eq_idx, _, _, df, dq in self._eval_nl(x2d):
-                block = df if which == "G" else dq
-                for a, row in enumerate(eq_idx):
-                    if row < 0:
-                        continue
-                    for bb, col in enumerate(var_idx):
-                        if col < 0:
-                            continue
-                        lrows.append(row), lcols.append(col)
-                        lvals.append(block[a, bb, 0])
-            rows, cols = lrows, lcols
-            vals = np.array(lvals, dtype=float)
-        if not len(rows):
-            return base.copy()
-        extra = sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+            self._device_pass(x2d, c_vals=vals)
+        extra = sp.csr_matrix(
+            (vals[:, 0], (self._nl_rows, self._nl_cols)), shape=(self.n, self.n)
+        )
         return (base + extra).tocsr()
 
     def G(self, x: np.ndarray) -> sp.csr_matrix:
@@ -459,21 +406,9 @@ class MNASystem:
         aligned with this fixed pattern, so HB/MPDE can pre-build one
         sparsity structure and refill data on every Newton iteration.
         """
-        rows: List[int] = []
-        cols: List[int] = []
-        for r, c, _ in zip(*self._g_lin_coo):
-            rows.append(int(r)), cols.append(int(c))
-        for r, c, _ in zip(*self._c_lin_coo):
-            rows.append(int(r)), cols.append(int(c))
-        for _, var_idx, eq_idx in self._nl:
-            for row in eq_idx:
-                if row < 0:
-                    continue
-                for col in var_idx:
-                    if col < 0:
-                        continue
-                    rows.append(int(row)), cols.append(int(col))
-        return np.array(rows, dtype=int), np.array(cols, dtype=int)
+        rows = np.concatenate([self._g_lin_coo[0], self._c_lin_coo[0], self._nl_rows])
+        cols = np.concatenate([self._g_lin_coo[1], self._c_lin_coo[1], self._nl_cols])
+        return rows.astype(int), cols.astype(int)
 
     def batch_jacobians(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-sample G and C entry values aligned with jacobian_pattern().
@@ -483,39 +418,14 @@ class MNASystem:
         """
         m = X.shape[1]
         nnz_gl = len(self._g_lin_coo[0])
-        nnz_cl = len(self._c_lin_coo[0])
-        nnz_nl = sum(
-            int(np.sum(eq_idx >= 0)) * int(np.sum(var_idx >= 0))
-            for _, var_idx, eq_idx in self._nl
-        )
-        nnz = nnz_gl + nnz_cl + nnz_nl
+        nnz_lin = nnz_gl + len(self._c_lin_coo[0])
+        nnz = nnz_lin + self._nl_rows.size
         g_vals = np.zeros((nnz, m))
         c_vals = np.zeros((nnz, m))
         g_vals[:nnz_gl] = self._g_lin_coo[2][:, None]
-        c_vals[nnz_gl : nnz_gl + nnz_cl] = self._c_lin_coo[2][:, None]
-        pos = nnz_gl + nnz_cl
-        if self.vectorize:
-            for grp in self._nl_groups:
-                _, _, df, dq = grp.eval(X)
-                g_vals[pos : pos + grp.jac_nnz] = df.reshape(-1, m)[grp.jac_valid]
-                c_vals[pos : pos + grp.jac_nnz] = dq.reshape(-1, m)[grp.jac_valid]
-                pos += grp.jac_nnz
-            return g_vals, c_vals
-        for _, var_idx, eq_idx, _, _, df, dq in self._eval_nl(X):
-            for a, row in enumerate(eq_idx):
-                if row < 0:
-                    continue
-                for bb, col in enumerate(var_idx):
-                    if col < 0:
-                        continue
-                    g_vals[pos] = df[a, bb]
-                    c_vals[pos] = dq[a, bb]
-                    pos += 1
+        c_vals[nnz_gl:nnz_lin] = self._c_lin_coo[2][:, None]
+        self._device_pass(X, g_vals=g_vals[nnz_lin:], c_vals=c_vals[nnz_lin:])
         return g_vals, c_vals
-
-    def batch_fq(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(f(X), q(X)) over sample columns; both shape (n, m)."""
-        return self.f(X), self.q(X)
 
     # --- noise ---------------------------------------------------------------
     def noise_injection_vectors(self) -> List[Tuple[NoiseSource, np.ndarray]]:
@@ -532,6 +442,5 @@ class MNASystem:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"MNASystem({self.title!r}, n={self.n}, nodes={len(self.node_names)}, "
-            f"branches={len(self.branch_owner)}, devices={len(self.devices)}, "
-            f"stamp={'vectorized' if self.vectorize else 'scalar'})"
+            f"branches={len(self.branch_owner)}, devices={len(self.devices)})"
         )

@@ -600,7 +600,10 @@ class FaultyMNASystem:
 
     Overridable names are the evaluator methods analyses call:
     ``f``, ``G``, ``q``, ``C``, ``b``, ``b_dc``, ``batch_fq``,
-    ``batch_jacobians``.
+    ``batch_jacobians``.  When ``f`` or ``q`` is overridden and
+    ``batch_fq`` is not, ``batch_fq`` goes through the overrides
+    (``(self.f(X), self.q(X))``), so a fault scheduled on ``f`` or ``q``
+    also reaches callers of the fused evaluator.
     """
 
     _OVERRIDABLE = ("f", "G", "q", "C", "b", "b_dc", "batch_fq", "batch_jacobians")
@@ -618,4 +621,9 @@ class FaultyMNASystem:
         overrides = object.__getattribute__(self, "_overrides")
         if name in overrides:
             return overrides[name]
+        if name == "batch_fq" and ("f" in overrides or "q" in overrides):
+            return self._split_batch_fq
         return getattr(object.__getattribute__(self, "_system"), name)
+
+    def _split_batch_fq(self, X):
+        return self.f(X), self.q(X)

@@ -54,7 +54,8 @@ def param_residual_derivs(system: MNASystem, X: np.ndarray, bp: BoundParam):
             dqdp[i] += dv * X2d[j]
     if dev.nonlinear:
         var_idx, eq_idx = dev.nl_ports()
-        V = MNASystem._local_voltages(X2d, np.asarray(var_idx))
+        var_idx = np.asarray(var_idx)
+        V = np.where((var_idx >= 0)[:, None], X2d[var_idx], 0.0)  # ground reads 0
         df, dq = dev.nl_dfdp(V, bp.name)
         for k, row in enumerate(np.asarray(eq_idx)):
             if row >= 0:

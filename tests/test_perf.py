@@ -298,10 +298,11 @@ class TestBranchIndex:
 class TestTransientReuse:
     def _faulty_rc(self):
         system = _rc_circuit()
-        # poison a window of f-evaluations mid-run: the affected steps
-        # reject and back off, which must invalidate the factor cache
-        clock = FaultClock(start=120, count=8)
-        return FaultyMNASystem(system, f=inject_nan(system.f, clock)), system
+        # poison a window of excitation evaluations mid-run (two b calls
+        # per trap step attempt): the affected steps reject and back
+        # off, which must invalidate the factor cache
+        clock = FaultClock(start=120, count=2)
+        return FaultyMNASystem(system, b=inject_nan(system.b, clock)), system
 
     def test_rejected_step_invalidates_and_recovers(self):
         faulty_on, system = self._faulty_rc()

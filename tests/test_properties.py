@@ -11,6 +11,8 @@ from repro.mpde import Axis, MPDEGrid
 from repro.netlist import Circuit, Sine
 from repro.rom import DescriptorSystem, arnoldi, pvl
 
+from .stamp_reference import ReferenceMNASystem
+
 pos_r = st.floats(min_value=1.0, max_value=1e6)
 pos_c = st.floats(min_value=1e-15, max_value=1e-6)
 
@@ -262,13 +264,14 @@ class TestTouchstoneRoundtripProperty:
 
 
 class TestVectorizedStamping:
-    """The batched stamping path is bit-identical to the scalar reference.
+    """The batched device pass is bit-identical to the per-device
+    reference in ``tests/stamp_reference.py``.
 
     Random circuits mixing linear devices (R/L/C, V/I sources) with every
     batchable nonlinear family (diodes, BJTs, MOSFETs, switches) and the
     per-device callables (NonlinearResistor/NonlinearCapacitor) must
     produce *exactly* equal DAE terms, point Jacobians (same sparsity,
-    same values) and batch-Jacobian slabs under both paths.
+    same values) and batch-Jacobian slabs under both evaluators.
     """
 
     NODES = ("0", "a", "b", "c", "d")
@@ -363,13 +366,8 @@ class TestVectorizedStamping:
     def test_scalar_and_vectorized_paths_bit_identical(self, seed, n_devices, m):
         rng = np.random.default_rng(seed)
         ckt = self._random_circuit(rng, n_devices)
-        sys_vec = ckt.compile(vectorize=True)
-        sys_ref = ckt.compile(vectorize=False)
-        assert sys_vec.vectorize and not sys_ref.vectorize
-        # both paths share one canonical nonlinear-device ordering
-        assert [d.name for d, _, _ in sys_vec._nl] == [
-            d.name for d, _, _ in sys_ref._nl
-        ]
+        sys_vec = ckt.compile()
+        sys_ref = ReferenceMNASystem.like(sys_vec)
 
         x = rng.normal(scale=1.0, size=sys_vec.n)
         X = rng.normal(scale=1.0, size=(sys_vec.n, m))
@@ -378,6 +376,10 @@ class TestVectorizedStamping:
         np.testing.assert_array_equal(sys_vec.q(x), sys_ref.q(x))
         np.testing.assert_array_equal(sys_vec.f(X), sys_ref.f(X))
         np.testing.assert_array_equal(sys_vec.q(X), sys_ref.q(X))
+        # the fused pass returns the same terms for (n,) and (n, m)
+        for point in (x, X):
+            for got, want in zip(sys_vec.batch_fq(point), sys_ref.batch_fq(point)):
+                np.testing.assert_array_equal(got, want)
 
         Gv, Gs = sys_vec.G(x), sys_ref.G(x)
         Cv, Cs = sys_vec.C(x), sys_ref.C(x)
@@ -395,18 +397,20 @@ class TestVectorizedStamping:
         np.testing.assert_array_equal(cv, cs)
 
     def test_stamp_mode_env_and_validation(self, monkeypatch):
-        from repro.netlist.mna import STAMP_ENV, resolve_stamp_mode
+        # one evaluator: the stamping-mode switch is gone, so the old
+        # environment variable selects nothing and compile() rejects the
+        # old keyword
+        import repro.netlist.mna as mna
 
-        monkeypatch.setenv(STAMP_ENV, "scalar")
-        assert resolve_stamp_mode(None) == "scalar"
-        monkeypatch.setenv(STAMP_ENV, "vectorized")
-        assert resolve_stamp_mode(None) == "vectorized"
-        assert resolve_stamp_mode(True) == "vectorized"
-        assert resolve_stamp_mode(False) == "scalar"
-        monkeypatch.setenv(STAMP_ENV, "simd")
-        with pytest.raises(ValueError, match="unknown stamp mode"):
-            resolve_stamp_mode(None)
-        monkeypatch.delenv(STAMP_ENV)
+        assert not hasattr(mna, "STAMP_ENV")
+        assert not hasattr(mna, "resolve_stamp_mode")
+        monkeypatch.setenv("REPRO_STAMP_MODE", "scalar")
         rng = np.random.default_rng(1234)
         ckt = self._random_circuit(rng, 3)
-        assert ckt.compile().vectorize  # default is the batched path
+        system = ckt.compile()
+        assert not hasattr(system, "vectorize")
+        x = rng.normal(size=system.n)
+        ref = ReferenceMNASystem.like(system)
+        np.testing.assert_array_equal(system.f(x), ref.f(x))
+        with pytest.raises(TypeError):
+            ckt.compile(vectorize=False)

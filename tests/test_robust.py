@@ -302,8 +302,10 @@ class TestDCLadder:
 class TestTransientLadder:
     def test_backoff_recovers_from_nan_window(self, rc_lowpass):
         dt = 1e-8
+        # the window sits on the excitation: one b(t+h) per BE step
+        # attempt, so calls 5 and 6 poison step 5 and its first retry
         clock = FaultClock(start=5, count=2)
-        bad = FaultyMNASystem(rc_lowpass, f=inject_nan(rc_lowpass.f, clock))
+        bad = FaultyMNASystem(rc_lowpass, b=inject_nan(rc_lowpass.b, clock))
         res = transient_analysis(
             bad, t_stop=8 * dt, dt=dt, x0=np.zeros(rc_lowpass.n), method="be"
         )

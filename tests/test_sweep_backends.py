@@ -296,7 +296,9 @@ class TestProcessBackend:
         np.testing.assert_array_equal(
             system.G(x).toarray(), clone.G(x).toarray()
         )
-        assert clone.vectorize == system.vectorize
+        np.testing.assert_array_equal(system.q(x), clone.q(x))
+        for got, want in zip(clone.batch_fq(x), system.batch_fq(x)):
+            np.testing.assert_array_equal(got, want)
         assert len(clone.noise_sources) == len(system.noise_sources)
 
     def test_hbresult_getattr_guard(self):
