@@ -1,14 +1,15 @@
 """Fault-tolerant sweep execution: what resilience costs and saves.
 
-The resilient per-item engine behind ``sweep_map`` (deadlines, retry
-with deterministic backoff, checkpoint/resume, crashed-worker
-replacement) only earns its keep if (a) its overhead on a *clean* sweep
-is small against the legacy chunked path, and (b) its recovery paths
-beat the alternative — re-running the whole sweep.  This bench measures
-both on a synthetic workload sized like an AC/corner sweep:
+The executor behind ``sweep_map`` (deadlines, retry with deterministic
+backoff, checkpoint/resume, crashed-worker replacement) only earns its
+keep if (a) arming its knobs costs little on a *clean* sweep, and (b)
+its recovery paths beat the alternative — re-running the whole sweep.
+This bench measures both on a synthetic workload sized like an
+AC/corner sweep:
 
-* clean-sweep overhead: legacy path vs engine (deadline+retry armed,
-  nothing fires) on serial and process backends;
+* clean-sweep overhead: an unarmed sweep (chunked dispatch) vs an armed
+  one (deadline + retry, nothing fires; per-item dispatch) on the
+  serial and process backends;
 * transient-fault recovery: injected failures on a fraction of items,
   retry policy on — wall time vs the fault-free run;
 * worker-crash recovery: one ``os._exit`` mid-sweep on the process
@@ -60,10 +61,10 @@ def test_bench_sweep_resilience():
     rows = []
     record = {}
 
-    # -- clean-sweep overhead: legacy vs armed engine --------------------
+    # -- clean-sweep overhead: unarmed vs armed --------------------------
     for backend, workers in (("serial", 1), ("process", max(2, os.cpu_count() or 2))):
-        legacy, out_legacy = _timed(
-            "legacy", lambda: sweep_map(_solve_point, items, workers=workers, backend=backend)
+        unarmed, out_unarmed = _timed(
+            "unarmed", lambda: sweep_map(_solve_point, items, workers=workers, backend=backend)
         )
         armed, out_armed = _timed(
             "armed",
@@ -76,15 +77,15 @@ def test_bench_sweep_resilience():
                 on_item_failure="retry",
             ),
         )
-        assert out_legacy == reference
+        assert out_unarmed == reference
         assert out_armed == reference
-        overhead = armed / legacy if legacy > 0 else float("inf")
+        overhead = armed / unarmed if unarmed > 0 else float("inf")
         record[f"overhead_{backend}"] = {
-            "legacy_wall": legacy,
-            "engine_wall": armed,
-            "engine_vs_legacy": overhead,
+            "unarmed_wall": unarmed,
+            "armed_wall": armed,
+            "armed_vs_unarmed": overhead,
         }
-        rows.append((f"clean {backend}", legacy, armed, f"{overhead:.2f}x"))
+        rows.append((f"clean {backend}", unarmed, armed, f"{overhead:.2f}x"))
 
     # -- transient faults + retry vs fault-free --------------------------
     state = tempfile.mkdtemp(prefix="bench-chaos-")
@@ -108,7 +109,7 @@ def test_bench_sweep_resilience():
         faulty_wall, out_faulty = _timed("faulty", run_faulty)
         assert out_faulty == reference
         assert stats["retried"] == len(faults)
-        clean_serial = record["overhead_serial"]["legacy_wall"]
+        clean_serial = record["overhead_serial"]["unarmed_wall"]
         record["transient_recovery"] = {
             "faults": len(faults),
             "wall": faulty_wall,
@@ -144,7 +145,7 @@ def test_bench_sweep_resilience():
         crash_wall, out_crash = _timed("crash", run_crashy, repeats=1)
         assert out_crash == reference
         assert crash_stats["pool_replacements"] >= 1
-        clean_proc = record["overhead_process"]["legacy_wall"]
+        clean_proc = record["overhead_process"]["unarmed_wall"]
         rerun_cost = 2 * clean_proc  # the alternative: run it all twice
         record["crash_recovery"] = {
             "wall": crash_wall,
@@ -209,11 +210,11 @@ def test_bench_sweep_resilience():
         header=("scenario", "baseline s", "measured s", "ratio"),
         notes=(
             f"{N_ITEMS} items, dense-solve workload, cpu_count={os.cpu_count()}",
-            "clean rows compare the legacy chunked path against the armed engine",
+            "clean rows compare unarmed (chunked) against armed (per-item) dispatch",
             "recovery rows compare against fault-free (or full re-run) cost",
         ),
     )
     write_bench_json("sweep_resilience", extra=record)
 
     # resilience must be cheap when nothing goes wrong
-    assert record["overhead_serial"]["engine_vs_legacy"] < 3.0
+    assert record["overhead_serial"]["armed_vs_unarmed"] < 3.0

@@ -36,7 +36,6 @@ from repro.perf.sweep import (
     resolve_timeout,
     resolve_workers,
     sweep_map,
-    worker_factor_cache,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "resolve_timeout",
     "resolve_workers",
     "sweep_map",
-    "worker_factor_cache",
 ]

@@ -13,11 +13,10 @@ sweeps and EM panel-matrix row blocks are all independent work items.
     pure-Python device evaluation serialises on the GIL and threads can
     *lose* to serial.
 ``"process"``
-    A ``concurrent.futures.ProcessPoolExecutor``.  Items are shipped to
-    worker processes in contiguous chunks, so CPU-bound Python work
-    scales with cores.  Requires the task callable, the items and the
-    results to be picklable; when the task is not picklable the call
-    transparently degrades to the thread backend (recorded in
+    A ``concurrent.futures.ProcessPoolExecutor``, so CPU-bound Python
+    work scales with cores.  Requires the task callable, the items and
+    the results to be picklable; when the task is not picklable the
+    call transparently degrades to the thread backend (recorded in
     ``stats["backend"]``).
 
 Three invariants the adopters rely on:
@@ -52,8 +51,9 @@ or failing transiently.  :func:`sweep_map` grows four orthogonal knobs
     ``SIGALRM`` (tasks run on the worker's main thread) and backstops a
     stuck worker by replacing the whole pool; the serial backend uses
     ``SIGALRM`` when running on the main thread and post-hoc detection
-    otherwise; the thread backend can only *abandon* the worker thread
-    (soft timeout — the thread leaks until its item returns).
+    otherwise; the thread backend discards late results post hoc and
+    can only *abandon* a stuck item's pool (soft timeout — its threads
+    leak until their items return).
 ``retries=`` / ``retry_backoff=`` / ``retry_on=``
     Bounded re-execution of failed items with deterministic jittered
     exponential backoff (:func:`backoff_seconds` — no RNG state, so two
@@ -64,7 +64,8 @@ or failing transiently.  :func:`sweep_map` grows four orthogonal knobs
     :class:`SweepRemoteError`, which carries the original type's MRO
     and matches ``retry_on`` as the original would have.
 ``on_item_failure=``
-    ``"raise"`` (default) fails the sweep on the first exhausted item;
+    ``"raise"`` (default) fails the sweep once an item exhausts its
+    attempts (which error wins is set out below);
     ``"retry"`` is ``"raise"`` with a default retry budget of one;
     ``"skip"`` quarantines exhausted items — their result slot is
     ``None`` and the sweep returns partial results plus a per-item
@@ -84,46 +85,52 @@ or failing transiently.  :func:`sweep_map` grows four orthogonal knobs
     authenticate every line with an HMAC and have restore ignore
     tampered or unauthenticated lines instead of unpickling them.
 
-Any of these knobs (or an installed
-:func:`repro.robust.faultinject.chaos_sweeps` harness) routes the sweep
-through the resilient engine, which dispatches process-backend work
-per-item and recovers crashed workers by replaying only the suspects —
-items whose in-flight breadcrumb file survived the crash — in isolated
-single-worker pools, resubmitting undispatched items to a fresh pool
-for free.  Without them, the historical chunked fast paths run
-unchanged.
+One executor runs every sweep, armed or not.  A serial sweep runs the
+per-item unit inline.  Thread and process sweeps share one dispatch
+loop and differ only in the pool and the unit they submit.  With no
+deadline armed, items go out in chunks of ``chunksize`` (default
+``ceil(n / (4 * workers))``), all submitted up front.  With a deadline,
+each future carries one item and no more futures than workers are
+outstanding, so the parent's backstop can time each item from its
+start.  A process pool that breaks mid-flight (a worker was OOM-killed
+or segfaulted) is replaced, armed or not: finished futures are
+harvested, the crash *suspects* — items whose breadcrumb says a
+worker was executing them when it died — are replayed in isolated
+single-worker pools, and every other item is resubmitted for free.
+Under ``"raise"`` (and ``"retry"`` once retries run out) the sweep
+raises the error of the lowest-indexed item that used up its attempts,
+once every lower-indexed item has finished, so the error does not
+depend on the backend, worker count, chunking or completion order.
+Arming a knob (or installing a
+:func:`repro.robust.faultinject.chaos_sweeps` harness) adds the
+per-item ledger to ``stats``; a deadline also switches dispatch to one
+item per future.
 
-Worker processes are seeded at pool start: the parent's tracing state is
-propagated (child spans are aggregated in-memory and folded back into
-the parent tracer, so ``SolveReport.perf["trace"]`` sees sweep work done
-in workers), and each worker gets a fresh per-process
-:class:`~repro.perf.factorcache.FactorCache` reachable through
-:func:`worker_factor_cache`, so picklable tasks can share
-factorizations across the items executed by the same worker.
+Worker processes are seeded at pool start with the parent's tracing
+state: child spans are aggregated in-memory and folded back into the
+parent tracer, so ``SolveReport.perf["trace"]`` sees sweep work done
+in workers.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import hmac
 import json
 import math
+import multiprocessing
 import os
 import pickle
-import shutil
+import queue
 import signal
 import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from concurrent.futures import wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional
 
@@ -156,7 +163,6 @@ __all__ = [
     "resolve_checkpoint_compact",
     "resolve_max_item_records",
     "sweep_map",
-    "worker_factor_cache",
 ]
 
 #: Environment variable consulted when ``workers`` is None.
@@ -198,13 +204,6 @@ _DEFAULT_COMPACT_BYTES = 4 * 1024 * 1024
 
 #: Default ``stats["items"]`` ledger cap (detailed records).
 _DEFAULT_MAX_ITEM_RECORDS = 10000
-
-#: Default FactorCache size seeded into each worker process.
-_WORKER_CACHE_ENTRIES = 8
-
-#: Per-process factor cache (created lazily, or by the pool initializer
-#: in process-backend workers).  One per OS process by construction.
-_WORKER_CACHE = None
 
 
 class SweepItemTimeout(TimeoutError):
@@ -534,34 +533,14 @@ def backoff_seconds(index: int, attempt: int, base: float = _DEFAULT_BACKOFF) ->
     return base * (2.0 ** (attempt - 1)) * (0.5 + frac)
 
 
-def worker_factor_cache():
-    """The per-process :class:`FactorCache` for sweep tasks.
-
-    In a process-backend worker this is the cache created by the pool
-    initializer (fresh per pool, sized by the parent); in the parent
-    process (serial/thread backends) it is a lazily created
-    process-global cache.  Tasks that factor the same matrix for
-    several items (duplicate frequency points, repeated corners) key
-    into it — cache hits return the identical factorization object, so
-    results stay bit-identical with and without hits.
-    """
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        from .factorcache import FactorCache
-
-        _WORKER_CACHE = FactorCache(max_entries=_WORKER_CACHE_ENTRIES)
-    return _WORKER_CACHE
-
-
-def _process_worker_init(trace_enabled: bool, cache_entries: int) -> None:
-    """Pool initializer: seed per-worker tracer + factor cache."""
-    global _WORKER_CACHE
-    from .factorcache import FactorCache
-
-    _WORKER_CACHE = FactorCache(max_entries=max(1, int(cache_entries)))
+def _process_worker_init(trace_enabled: bool, crumbs) -> None:
+    """Pool initializer: install the breadcrumb array and seed the
+    per-worker tracer."""
+    global _CRUMBS
+    _CRUMBS = crumbs
     if trace_enabled and not get_tracer().enabled:
         # in-memory child tracer: spans are aggregated and shipped back
-        # to the parent with each chunk result (no JSONL file of its own)
+        # to the parent with each unit's outcomes (no JSONL file of its own)
         _trace.enable(None)
 
 
@@ -590,118 +569,117 @@ def _guarded_call(fn: Callable, item, index: int, timeout: Optional[float], chao
     The chaos ``before_item`` hook runs *inside* the alarm window so an
     injected hang is interrupted exactly like a genuinely stuck solve.
     """
+    alarm = timeout is not None and _can_alarm()
+    if alarm:
+        def _on_alarm(signum, frame):
+            raise SweepItemTimeout(index, timeout, "signal")
 
-    def _body():
+        prev = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, timeout)
+    try:
         if chaos is not None:
             chaos.before_item(index)
         return fn(item)
-
-    if timeout is None or not _can_alarm():
-        return _body()
-
-    def _on_alarm(signum, frame):
-        raise SweepItemTimeout(index, timeout, "signal")
-
-    prev = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        return _body()
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, prev)
+        if alarm:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, prev)
 
 
 # -- crash breadcrumbs --------------------------------------------------
 #
-# Process-backend workers touch ``inflight_<index>`` in a parent-owned
-# scratch directory as an item starts and remove it in a ``finally``.
-# A hard crash (os._exit, OOM kill, segfault) skips the ``finally``, so
-# after a BrokenProcessPool the surviving files name exactly the items
-# that were executing when the pool died — the crash *suspects*.  Items
-# with no breadcrumb never started and are resubmitted for free.
+# A process sweep shares one array of doubles with its workers, one slot
+# per sweep item, installed by the pool initializer.  A worker stores the
+# wall-clock time in an item's slot as the item starts and ``-1`` once it
+# finishes.  A hard crash (os._exit, OOM kill, segfault) leaves the slot
+# positive, so after a BrokenProcessPool the positive slots of the lost
+# chunks name exactly the items that were executing when the pool died —
+# the crash *suspects*.  The other items of a lost chunk never started,
+# or finished with outcomes that died with the worker, and are
+# resubmitted for free.  A positive slot is also the start time that the
+# parent's deadline backstop times an item from.
+
+#: This worker's breadcrumb array (set by the pool initializer).
+_CRUMBS = None
 
 
-def _inflight_path(scratch: str, index: int) -> str:
-    return os.path.join(scratch, f"inflight_{int(index)}")
+def _run_item(fn, index, item, attempt, timeout, chaos, tr, crumbs=None):
+    """The per-item unit: one attempt of one item, as ``(result, failure,
+    wall)``.
 
-
-def _mark_inflight(scratch: str, index: int) -> None:
+    The failure comes back in-band, so the caller gets the attempt's
+    wall time either way.  Serial sweeps call this inline and thread
+    pools run it chunk by chunk through :func:`_run_items`: spans go
+    straight to the parent's tracer ``tr`` and a failure is the
+    original exception object.  Process workers run it through
+    :class:`_ProcessUnit`, passing their breadcrumb array ``crumbs``.
+    A result that arrives after its deadline where no ``SIGALRM`` could
+    interrupt it (any thread but the main one) is discarded post hoc,
+    so the deadline contract holds on every backend.
+    """
+    if crumbs is not None:
+        crumbs[index] = time.time()
+    result = failure = None
+    t0 = time.perf_counter()
     try:
-        with open(_inflight_path(scratch, index), "wb"):
-            pass
-    except OSError:  # pragma: no cover - scratch dir raced away
-        pass
+        if tr.enabled:
+            with tr.span("sweep.task", index=index, attempt=attempt):
+                result = _guarded_call(fn, item, index, timeout, chaos)
+        else:
+            result = _guarded_call(fn, item, index, timeout, chaos)
+    except Exception as exc:
+        failure = exc
+    wall = time.perf_counter() - t0
+    if crumbs is not None:
+        crumbs[index] = -1.0
+    if (
+        failure is None
+        and timeout is not None
+        and wall > timeout
+        and not _can_alarm()
+    ):
+        return None, SweepItemTimeout(index, timeout, "posthoc"), wall
+    return result, failure, wall
 
 
-def _clear_inflight(scratch: str, index: int) -> None:
-    try:
-        os.remove(_inflight_path(scratch, index))
-    except OSError:
-        pass
+def _run_items(fn, entries, timeout, chaos, tr, crumbs=None) -> List:
+    """One chunk: the per-item unit over ``(index, item, attempt)``
+    entries in order.  A failing item does not stop its chunk."""
+    return [
+        _run_item(fn, index, item, attempt, timeout, chaos, tr, crumbs)
+        for index, item, attempt in entries
+    ]
 
 
-def _inflight_started(scratch: str, index: int) -> Optional[float]:
-    """Wall-clock time at which an item started executing in a worker,
-    read off its breadcrumb file's mtime; ``None`` when the item has
-    not started yet (or already finished and cleared its breadcrumb).
-    This is what the parent's hard-kill backstop times against — queue
-    wait must never count toward an item's deadline allowance."""
-    try:
-        return os.path.getmtime(_inflight_path(scratch, index))
-    except OSError:
-        return None
+class _ProcessUnit:
+    """Picklable process-backend unit: :func:`_run_items` over one chunk,
+    inside a worker, with its deadline armed there.
 
-
-class _ItemCall:
-    """Picklable unit of resilient process-backend work: one item, one
-    attempt, with its deadline armed inside the worker.
-
-    Failures are returned in-band — ``(result, failure, wall, summary,
-    cache_delta)`` — so the parent gets the attempt's wall time and
-    trace aggregate even when the item failed.  Only a hard worker
-    death surfaces as a broken future.
+    Adds what the process boundary needs: breadcrumbs, a
+    :class:`SweepRemoteError` in place of any failure that would not
+    pickle back, and the worker tracer's span/event aggregate for the
+    chunk.  Returns ``(outcomes, summary)``; ``summary`` is ``None``
+    when tracing is off.  Only a hard worker death surfaces as a broken
+    future.
     """
 
-    __slots__ = ("fn", "item", "index", "attempt", "timeout", "chaos", "scratch")
+    __slots__ = ("fn", "entries", "timeout", "chaos")
 
-    def __init__(self, fn, item, index, attempt, timeout, chaos, scratch):
+    def __init__(self, fn, entries, timeout, chaos):
         self.fn = fn
-        self.item = item
-        self.index = index
-        self.attempt = attempt
+        self.entries = entries
         self.timeout = timeout
         self.chaos = chaos
-        self.scratch = scratch
 
     def __call__(self):
         tr = get_tracer()
         mark = tr.mark() if tr.enabled else None
-        cache = worker_factor_cache()
-        h0, m0 = cache.hits, cache.misses
-        _mark_inflight(self.scratch, self.index)
-        result = None
-        failure = None
-        t0 = time.perf_counter()
-        try:
-            if tr.enabled:
-                with tr.span("sweep.task", index=self.index, attempt=self.attempt):
-                    result = _guarded_call(
-                        self.fn, self.item, self.index, self.timeout, self.chaos
-                    )
-            else:
-                result = _guarded_call(
-                    self.fn, self.item, self.index, self.timeout, self.chaos
-                )
-        except Exception as exc:
-            failure = exc
-        finally:
-            _clear_inflight(self.scratch, self.index)
-        wall = time.perf_counter() - t0
-        summary = None
-        if tr.enabled:
-            summary = tr.summary_since(mark)
-            summary.pop("file", None)
-        if failure is not None:
+        outcomes = _run_items(
+            self.fn, self.entries, self.timeout, self.chaos, tr, _CRUMBS
+        )
+        for k, (result, failure, wall) in enumerate(outcomes):
+            if failure is None:
+                continue
             try:
                 pickle.loads(pickle.dumps(failure))
             except Exception:
@@ -710,10 +688,16 @@ class _ItemCall:
                     for c in type(failure).__mro__
                     if isinstance(c, type) and issubclass(c, BaseException)
                 )
-                failure = SweepRemoteError(
-                    _qualify(type(failure)), str(failure), mro
+                outcomes[k] = (
+                    result,
+                    SweepRemoteError(_qualify(type(failure)), str(failure), mro),
+                    wall,
                 )
-        return result, failure, wall, summary, (cache.hits - h0, cache.misses - m0)
+        summary = None
+        if tr.enabled:
+            summary = tr.summary_since(mark)
+            summary.pop("file", None)
+        return outcomes, summary
 
 
 # -- checkpoint store ---------------------------------------------------
@@ -899,9 +883,10 @@ class _CheckpointStore:
 
 
 def _abort_pool(pool) -> None:
-    """Shut a process pool down *hard*: cancel queued work, terminate
-    worker processes, and reap them — no orphans left behind when the
-    sweep is interrupted or fails."""
+    """Shut a pool down *hard*: cancel queued work and, for a process
+    pool, terminate and reap the worker processes — no orphans left
+    behind when the sweep is interrupted or fails.  Threads cannot be
+    stopped; a thread pool's running items finish on their own."""
     if pool is None:
         return
     # snapshot the worker handles first: shutdown() drops the executor's
@@ -924,43 +909,6 @@ def _abort_pool(pool) -> None:
             pass
 
 
-# -- legacy fast paths (no fault-tolerance knobs engaged) ---------------
-
-
-class _ChunkTask:
-    """Picklable unit of process-backend work: run ``fn`` over a chunk.
-
-    Returns ``(results, trace_summary, cache_counts)`` where the trace
-    summary is the child tracer's span/event aggregate for this chunk
-    (``None`` when tracing is disabled) and ``cache_counts`` the
-    ``(hits, misses)`` delta of the per-worker factor cache.
-    """
-
-    __slots__ = ("fn", "chunk")
-
-    def __init__(self, fn: Callable, chunk: List):
-        self.fn = fn
-        self.chunk = chunk
-
-    def __call__(self):
-        tr = get_tracer()
-        mark = tr.mark() if tr.enabled else None
-        cache = worker_factor_cache()
-        h0, m0 = cache.hits, cache.misses
-        results = []
-        for it in self.chunk:
-            if tr.enabled:
-                with tr.span("sweep.task"):
-                    results.append(self.fn(it))
-            else:
-                results.append(self.fn(it))
-        summary = None
-        if tr.enabled:
-            summary = tr.summary_since(mark)
-            summary.pop("file", None)
-        return results, summary, (cache.hits - h0, cache.misses - m0)
-
-
 def _is_picklable(fn: Callable) -> bool:
     try:
         pickle.dumps(fn)
@@ -969,154 +917,24 @@ def _is_picklable(fn: Callable) -> bool:
         return False
 
 
-def _serial_run(task: Callable, items: List, counter: List[int]) -> List:
-    results = []
-    for it in items:
-        counter[0] += 1
-        results.append(task(it))
-    return results
+#: Record statuses of items that need no further attempt and raise nothing.
+_SETTLED = ("ok", "cached", "skipped")
 
 
-def _thread_map(
-    task: Callable, items: List, effective: int, attempted: List[int], ran: dict
-):
-    """Thread-pool dispatch with the historical serial fallback."""
-    pool = None
-    try:
-        # Pool creation and submission are the only steps allowed to
-        # trigger the serial fallback; an OSError/RuntimeError raised by
-        # ``fn`` itself must propagate, not silently re-run the sweep.
-        pool = ThreadPoolExecutor(max_workers=effective)
-        futures = [pool.submit(task, it) for it in items]
-    except (OSError, RuntimeError):
-        # thread creation refused (container limits)
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        ran["backend"], ran["workers"] = "serial", 1
-        return _serial_run(task, items, attempted)
-    ran["backend"], ran["workers"] = "thread", effective
-    attempted[0] = len(items)
-    try:
-        results = [f.result() for f in futures]
-    except BaseException:
-        # failing item or KeyboardInterrupt: drop queued work instead of
-        # waiting the whole sweep out (abandoned threads drain on exit)
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
-    return results
-
-
-def _process_map(
-    fn: Callable,
-    task: Callable,
-    items: List,
-    effective: int,
-    chunksize: Optional[int],
-    attempted: List[int],
-    extra_stats: dict,
-    tr,
-    ran: dict,
-):
-    """Process-pool dispatch: chunked, seeded, with graceful fallback.
-
-    Falls back to the thread backend when the task cannot be pickled or
-    the pool cannot be created.  When the pool breaks mid-flight the
-    chunks that completed are harvested off their futures and only the
-    missing chunks re-run serially (tasks are pure by contract, so
-    re-running is safe).  ``ran`` records the backend that actually
-    executed.
-    """
-    if not _is_picklable(fn):
-        if tr.enabled:
-            tr.event("sweep.process_fallback", reason="unpicklable")
-        return _thread_map(task, items, effective, attempted, ran)
-
-    if chunksize is None:
-        chunksize = max(1, math.ceil(len(items) / (4 * effective)))
-    chunksize = max(1, int(chunksize))
-    chunks = [items[lo : lo + chunksize] for lo in range(0, len(items), chunksize)]
-
-    pool = None
-    try:
-        pool = ProcessPoolExecutor(
-            max_workers=effective,
-            initializer=_process_worker_init,
-            initargs=(bool(tr.enabled), _WORKER_CACHE_ENTRIES),
-        )
-        futures = [pool.submit(_ChunkTask(fn, chunk)) for chunk in chunks]
-    except (OSError, RuntimeError, pickle.PicklingError):
-        # process creation refused (sandbox/container limits) or a
-        # late pickling failure: degrade to threads
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        if tr.enabled:
-            tr.event("sweep.process_fallback", reason="pool_unavailable")
-        return _thread_map(task, items, effective, attempted, ran)
-
-    ran["backend"], ran["workers"] = "process", effective
-    attempted[0] = len(items)
-    extra_stats["chunksize"] = chunksize
-    hits = misses = 0
-    results: List = []
-    try:
-        for k, f in enumerate(futures):
-            try:
-                chunk_results, summary, cache_counts = f.result()
-            except BrokenProcessPool:
-                # a worker died (OOM-killed, sandbox signal).  Harvest
-                # every chunk that still completed and re-run only the
-                # missing ones serially.
-                _abort_pool(pool)
-                if tr.enabled:
-                    tr.event("sweep.process_fallback", reason="broken_pool")
-                ran["backend"], ran["workers"] = "serial", 1
-                attempted[0] = len(results)
-                for k2 in range(k, len(futures)):
-                    f2, chunk = futures[k2], chunks[k2]
-                    got = None
-                    if f2.done() and not f2.cancelled() and f2.exception() is None:
-                        got = f2.result()
-                    if got is not None:
-                        chunk_results, summary2, cc2 = got
-                        results.extend(chunk_results)
-                        attempted[0] += len(chunk)
-                        hits += cc2[0]
-                        misses += cc2[1]
-                        if summary2 and tr.enabled:
-                            tr.absorb(summary2)
-                    else:
-                        results.extend(_serial_run(task, chunk, attempted))
-                break
-            results.extend(chunk_results)
-            hits += cache_counts[0]
-            misses += cache_counts[1]
-            if summary and tr.enabled:
-                tr.absorb(summary)
-    except BaseException:
-        # failing chunk or KeyboardInterrupt: cancel queued chunks and
-        # terminate workers promptly instead of waiting the sweep out
-        _abort_pool(pool)
-        raise
-    else:
-        pool.shutdown(wait=True)
-    if hits or misses:
-        extra_stats["worker_cache"] = {"factor_hits": hits, "factor_misses": misses}
-    return results
-
-
-# -- resilient engine ---------------------------------------------------
+# -- the executor -------------------------------------------------------
 
 
 class _ResilientSweep:
-    """Per-item execution engine behind the fault-tolerance knobs.
+    """The one execution engine behind :func:`sweep_map`.
 
     Responsibilities: checkpoint restore/persist, per-item deadline
-    enforcement, bounded deterministic retry, quarantine, crashed-worker
-    replacement with breadcrumb-guided replay, and the per-item ledger
-    (:class:`~repro.robust.report.SweepItemRecord` per item).
-    Results land positionally in ``self.results`` so ordering is
-    deterministic whatever the completion order.
+    enforcement, bounded deterministic retry, quarantine, pool
+    replacement with breadcrumb-guided crash replay, the failure-order
+    rule, and the per-item ledger
+    (:class:`~repro.robust.report.SweepItemRecord` per item).  Results
+    land positionally in ``self.results`` so ordering is deterministic
+    whatever the completion order.  ``kind``/``workers`` track what
+    actually executes, after any fallback.
     """
 
     def __init__(
@@ -1134,9 +952,8 @@ class _ResilientSweep:
         checkpoint_tag,
         chaos,
         tr,
-        ran,
-        attempted,
-        extra,
+        armed: bool,
+        chunksize: Optional[int] = None,
         max_item_records: Optional[int] = None,
     ):
         self.fn = fn
@@ -1150,11 +967,14 @@ class _ResilientSweep:
         self.retry_on = retry_on
         self.chaos = chaos
         self.tr = tr
-        self.ran = ran
-        self.attempted = attempted
-        self.extra = extra
+        self.armed = armed
+        self.chunksize_arg = chunksize
         self.max_item_records = resolve_max_item_records(max_item_records)
         n = len(items)
+        self.kind = backend if effective > 1 else "serial"
+        self.workers = effective if effective > 1 else 1
+        self.attempted = 0
+        self.chunksize = None  # set once a process pool runs
         self.results: List = [None] * n
         self.records = [SweepItemRecord(index=i) for i in range(n)]
         self.store = None
@@ -1174,9 +994,13 @@ class _ResilientSweep:
         # spent, the pool stays down and the serial drain finishes the
         # sweep instead of replacing pools forever.
         self.max_pool_replacements = max(4, 2 * n)
-        self.cache_hits = 0
-        self.cache_misses = 0
+        # index -> error of each item that used up its attempts under
+        # "raise"/"retry"; the lowest index is raised once every lower
+        # item has finished (see _raise_first_failure)
+        self.failures: dict = {}
+        self._frontier = 0
         self._pool = None
+        self._crumbs = None  # shared breadcrumb array of process pools
 
     # -- entry point ---------------------------------------------------
 
@@ -1184,20 +1008,32 @@ class _ResilientSweep:
         pending = list(range(len(self.items)))
         if self.store is not None:
             pending = self._restore(pending)
-        if not pending:
-            return self.results
-        if self.effective <= 1 or self.backend == "serial":
-            self.ran["backend"], self.ran["workers"] = "serial", 1
-            for i in pending:
-                self._serial_item(i)
-        elif self.backend == "process":
-            self._run_process(pending)
-        else:
-            self._run_threads(pending)
+        if pending:
+            if self.kind == "serial":
+                self._run_serial(pending)
+            else:
+                self._run_pool(pending)
         return self.results
 
-    def finalize_stats(self, stats: dict) -> None:
-        """Fault-mode stats keys, layered over the legacy base keys."""
+    def fill_stats(self, stats: dict) -> None:
+        """Publish what ran: the base keys always, ``chunksize`` once a
+        process pool ran, ``pool_replacements`` once a pool was
+        replaced, and the ledger keys when a knob or chaos is armed."""
+        stats["workers"] = self.workers
+        stats["tasks"] = len(self.items)
+        stats["attempted"] = self.attempted
+        stats["backend"] = self.kind
+        # running serial because there is nothing to parallelise (one
+        # worker or one item) is the requested backend's degenerate
+        # case, not a fallback
+        if self.kind != self.backend and self.effective > 1:
+            stats["backend_requested"] = self.backend
+        if self.chunksize is not None:
+            stats["chunksize"] = self.chunksize
+        if self.pool_replacements or self.armed:
+            stats["pool_replacements"] = self.pool_replacements
+        if not self.armed:
+            return
         # exact per-status tallies over *every* item, independent of the
         # detailed-ledger cap below
         counts: dict = {}
@@ -1224,7 +1060,6 @@ class _ResilientSweep:
         stats["quarantined"] = self.quarantined
         stats["cached"] = self.cached
         stats["timeouts"] = self.timeouts
-        stats["pool_replacements"] = self.pool_replacements
         stats["fault_policy"] = {
             "timeout": self.timeout,
             "retries": self.retries,
@@ -1239,11 +1074,6 @@ class _ResilientSweep:
             }
             if self.store.compacted is not None:
                 stats["checkpoint"]["compacted"] = dict(self.store.compacted)
-        if self.cache_hits or self.cache_misses:
-            stats["worker_cache"] = {
-                "factor_hits": self.cache_hits,
-                "factor_misses": self.cache_misses,
-            }
 
     # -- shared bookkeeping --------------------------------------------
 
@@ -1261,13 +1091,31 @@ class _ResilientSweep:
                 rest.append(i)
         return rest
 
-    def _complete(self, i: int, result, wall: float) -> None:
-        rec = self.records[i]
-        rec.wall_time += wall
-        rec.status = "ok"
-        self.results[i] = result
-        if self.store is not None and self.keys[i] is not None:
-            self.store.put(self.keys[i], i, result)
+    def _charge(self, chunk: List[int]) -> List[tuple]:
+        """Start one attempt of every item in ``chunk``; returns the
+        ``(index, item, attempt)`` entries a unit runs."""
+        entries = []
+        for i in chunk:
+            rec = self.records[i]
+            rec.attempts += 1
+            entries.append((i, self.items[i], rec.attempts))
+        self.attempted += len(chunk)
+        return entries
+
+    def _refund(self, chunk: List[int]) -> None:
+        """Take back attempts that never ran, or whose outcome died with
+        their pool, so that resubmitting them is free."""
+        for i in chunk:
+            self.records[i].attempts -= 1
+        self.attempted -= len(chunk)
+
+    def _unit(self, entries: List[tuple]):
+        """The callable that runs ``entries`` on the current backend."""
+        if self.kind == "process":
+            return _ProcessUnit(self.fn, entries, self.timeout, self.chaos)
+        return functools.partial(
+            _run_items, self.fn, entries, self.timeout, self.chaos, self.tr
+        )
 
     def _retryable(self, exc) -> bool:
         """``retry_on`` match that survives the process boundary: a
@@ -1285,7 +1133,9 @@ class _ResilientSweep:
     ) -> bool:
         """Dispose of a failed attempt per policy.  Returns True when a
         retry was scheduled (``retry_at`` list) or should run now
-        (``retry_at is None`` — backoff already slept)."""
+        (``retry_at is None`` — backoff already slept).  An item out of
+        attempts is quarantined under ``"skip"``, else recorded in
+        ``self.failures`` for :meth:`_raise_first_failure`."""
         rec = self.records[i]
         rec.wall_time += wall
         rec.failure_cause = f"{type(exc).__name__}: {exc}"
@@ -1321,429 +1171,356 @@ class _ResilientSweep:
                 tr.event("sweep.quarantine", index=i, cause=rec.failure_cause)
             return False
         rec.status = "failed"
-        raise exc
+        self.failures[i] = exc
+        return False
 
-    def _handle_out(self, i: int, out, retry_at=None) -> bool:
-        """Unpack an ``_ItemCall`` return.  True when the item is done
-        (completed or quarantined), False when a retry is scheduled."""
-        result, failure, wall, summary, cache_delta = out
-        if summary and self.tr.enabled:
-            self.tr.absorb(summary)
-        self.cache_hits += cache_delta[0]
-        self.cache_misses += cache_delta[1]
-        if failure is None:
-            self._complete(i, result, wall)
-            return True
-        return not self._handle_failure(i, failure, wall=wall, retry_at=retry_at)
+    def _account(self, i: int, outcome, retry_at=None) -> bool:
+        """Account one attempt's ``(result, failure, wall)``: record a
+        success (and checkpoint it) or dispose of the failure per
+        policy.  Returns True when a retry was scheduled (or, with
+        ``retry_at=None``, is due now)."""
+        result, failure, wall = outcome
+        if failure is not None:
+            return self._handle_failure(i, failure, wall=wall, retry_at=retry_at)
+        rec = self.records[i]
+        rec.wall_time += wall
+        rec.status = "ok"
+        self.results[i] = result
+        if self.store is not None and self.keys[i] is not None:
+            self.store.put(self.keys[i], i, result)
+        return False
+
+    def _settle(self, chunk: List[int], out, retry_at) -> None:
+        """Account a unit's return for the items of ``chunk``."""
+        if self.kind == "process":
+            out, summary = out
+            if summary and self.tr.enabled:
+                self.tr.absorb(summary)
+        for i, outcome in zip(chunk, out):
+            self._account(i, outcome, retry_at)
+
+    def _raise_first_failure(self) -> None:
+        """Raise the error of the lowest-indexed item that used up its
+        attempts, but only once every lower-indexed item has finished:
+        the same error whatever the backend, worker count, chunking or
+        completion order."""
+        if not self.failures:
+            return
+        f = self._frontier
+        while self.records[f].status in _SETTLED:
+            f += 1
+        self._frontier = f
+        if f in self.failures:
+            raise self.failures[f]
 
     # -- serial --------------------------------------------------------
 
-    def _serial_item(self, i: int) -> None:
-        tr = self.tr
-        while True:
+    def _run_serial(self, pending: List[int]) -> None:
+        """Run the per-item unit inline, item by item, stopping at the
+        first item that runs out of attempts."""
+        self.kind, self.workers = "serial", 1
+        for i in pending:
             rec = self.records[i]
-            rec.attempts += 1
-            self.attempted[0] += 1
-            t0 = time.perf_counter()
-            try:
-                if tr.enabled:
-                    with tr.span("sweep.task", index=i, attempt=rec.attempts):
-                        result = _guarded_call(
-                            self.fn, self.items[i], i, self.timeout, self.chaos
-                        )
-                else:
-                    result = _guarded_call(
-                        self.fn, self.items[i], i, self.timeout, self.chaos
-                    )
-                wall = time.perf_counter() - t0
-                if (
-                    self.timeout is not None
-                    and wall > self.timeout
-                    and not _can_alarm()
-                ):
-                    # alarm unavailable (non-main thread): post-hoc
-                    # enforcement — over-budget results are discarded so
-                    # the deadline contract holds on every platform
-                    raise SweepItemTimeout(i, self.timeout, "posthoc")
-                self._complete(i, result, wall)
-                return
-            except Exception as exc:
-                wall = time.perf_counter() - t0
-                if not self._handle_failure(i, exc, wall=wall, retry_at=None):
-                    return
-
-    # -- threads -------------------------------------------------------
-
-    def _thread_attempt(self, i: int, attempt: int, started: dict):
-        tr = self.tr
-        started[i] = time.perf_counter()
-        if tr.enabled:
-            with tr.span("sweep.task", index=i, attempt=attempt):
-                result = _guarded_call(
-                    self.fn, self.items[i], i, self.timeout, self.chaos
+            again = True
+            while again:
+                rec.attempts += 1
+                self.attempted += 1
+                outcome = _run_item(
+                    self.fn, i, self.items[i], rec.attempts,
+                    self.timeout, self.chaos, self.tr,
                 )
-        else:
-            result = _guarded_call(self.fn, self.items[i], i, self.timeout, self.chaos)
-        return result, time.perf_counter() - started[i]
+                again = self._account(i, outcome)
+            self._raise_first_failure()
 
-    def _thread_wait(self, fut, i: int, started: dict, abandoned: List[int]):
-        if self.timeout is None:
-            return fut.result()
-        grace = max(0.25, 0.1 * self.timeout)
-        qt0 = time.perf_counter()
-        while True:
-            try:
-                return fut.result(timeout=0.05)
-            except SweepItemTimeout:
-                raise
-            except _FuturesTimeout:
-                t0 = started.get(i)
-                now = time.perf_counter()
-                if t0 is not None:
-                    if now - t0 > self.timeout + grace:
-                        fut.cancel()
-                        abandoned[0] += 1
-                        raise SweepItemTimeout(i, self.timeout, "abandoned") from None
-                elif now - qt0 > (self.timeout + grace) * (abandoned[0] + 2):
-                    # never started: every worker thread is abandoned
-                    # and the queue is starved — fail the wait rather
-                    # than hang the sweep
-                    fut.cancel()
-                    abandoned[0] += 1
-                    raise SweepItemTimeout(i, self.timeout, "abandoned") from None
+    # -- thread and process pools --------------------------------------
 
-    def _run_threads(self, pending: List[int]) -> None:
+    def _new_pool(self, n: int):
+        """A fresh executor of ``n`` workers for the current backend, or
+        ``None`` when the platform refuses one."""
         try:
-            pool = ThreadPoolExecutor(max_workers=self.effective)
-        except (OSError, RuntimeError):
-            self.ran["backend"], self.ran["workers"] = "serial", 1
-            for i in pending:
-                self._serial_item(i)
-            return
-        self.ran["backend"], self.ran["workers"] = "thread", self.effective
-        started: dict = {}
-        abandoned = [0]
-        clean = False
-        try:
-            round_items = list(pending)
-            while round_items:
-                futures = {}
-                for i in round_items:
-                    rec = self.records[i]
-                    rec.attempts += 1
-                    self.attempted[0] += 1
-                    started.pop(i, None)
-                    futures[i] = pool.submit(self._thread_attempt, i, rec.attempts, started)
-                next_round = []
-                for i in round_items:
-                    try:
-                        result, wall = self._thread_wait(
-                            futures[i], i, started, abandoned
-                        )
-                        self._complete(i, result, wall)
-                    except Exception as exc:
-                        t0 = started.get(i)
-                        wall = (time.perf_counter() - t0) if t0 is not None else 0.0
-                        if self._handle_failure(i, exc, wall=wall, retry_at=None):
-                            next_round.append(i)
-                round_items = next_round
-            clean = True
-        finally:
-            # an abandoned (hung) thread would make wait=True block for
-            # its full run time; leaked threads drain at interpreter exit
-            pool.shutdown(wait=clean and not abandoned[0], cancel_futures=True)
-
-    # -- processes -----------------------------------------------------
-
-    def _make_pool(self, n: int):
-        try:
-            return ProcessPoolExecutor(
-                max_workers=n,
-                initializer=_process_worker_init,
-                initargs=(bool(self.tr.enabled), _WORKER_CACHE_ENTRIES),
-            )
+            if self.kind == "process":
+                if self._crumbs is None:
+                    self._crumbs = multiprocessing.RawArray("d", len(self.items))
+                return ProcessPoolExecutor(
+                    max_workers=n,
+                    initializer=_process_worker_init,
+                    initargs=(bool(self.tr.enabled), self._crumbs),
+                )
+            return ThreadPoolExecutor(max_workers=n)
         except (OSError, RuntimeError, pickle.PicklingError):
             return None
 
-    def _run_process(self, pending: List[int]) -> None:
+    def _run_pool(self, pending: List[int]) -> None:
         tr = self.tr
-        if not _is_picklable(self.fn):
+        if self.kind == "process" and not _is_picklable(self.fn):
             if tr.enabled:
                 tr.event("sweep.process_fallback", reason="unpicklable")
-            return self._run_threads(pending)
-        self._pool = self._make_pool(self.effective)
-        if self._pool is None:
+            self.kind = "thread"
+        self._pool = self._new_pool(self.effective)
+        if self._pool is None and self.kind == "process":
             if tr.enabled:
                 tr.event("sweep.process_fallback", reason="pool_unavailable")
-            return self._run_threads(pending)
-        self.ran["backend"], self.ran["workers"] = "process", self.effective
-        self.extra["chunksize"] = 1  # per-item dispatch: deadline/crash granularity
-        scratch = tempfile.mkdtemp(prefix="repro-sweep-")
+            self.kind = "thread"
+            self._pool = self._new_pool(self.effective)
+        if self._pool is None:
+            return self._run_serial(pending)
+        if self.timeout is not None:
+            chunksize = 1  # deadlines time one item per future
+        elif self.chunksize_arg is None:
+            chunksize = max(1, math.ceil(len(pending) / (4 * self.effective)))
+        else:
+            chunksize = max(1, int(self.chunksize_arg))
+        if self.kind == "process":
+            self.chunksize = chunksize
         clean = False
         try:
-            self._process_loop(pending, scratch)
+            self._dispatch(pending, chunksize)
             clean = True
         finally:
-            if clean:
-                if self._pool is not None:
-                    self._pool.shutdown(wait=True)
+            if clean and self._pool is not None:
+                self._pool.shutdown(wait=True)
             else:
+                # failing item or KeyboardInterrupt: drop queued work and
+                # terminate workers instead of waiting the sweep out
                 _abort_pool(self._pool)
-            shutil.rmtree(scratch, ignore_errors=True)
 
-    def _submit(self, i: int, scratch: str):
-        rec = self.records[i]
-        rec.attempts += 1
-        self.attempted[0] += 1
-        return self._pool.submit(
-            _ItemCall(
-                self.fn,
-                self.items[i],
-                i,
-                rec.attempts,
-                self.timeout,
-                self.chaos,
-                scratch,
-            )
-        )
+    def _submit(self, chunk: List[int]):
+        return self._pool.submit(self._unit(self._charge(chunk)))
 
-    def _process_loop(self, pending: List[int], scratch: str) -> None:
+    def _dispatch(self, pending: List[int], chunksize: int) -> None:
+        """The submit/wait/retry loop shared by thread and process pools."""
+        deadline = self.timeout is not None
         todo = deque(pending)
         retry_at: List[List] = []  # [ready_monotonic, index]
-        inflight: dict = {}  # future -> index
-        submitted_at: dict = {}  # index -> monotonic
-        allowance = None if self.timeout is None else self.timeout * 2.0 + 1.0
-        while todo or retry_at or inflight:
+        inflight: dict = {}  # future -> chunk (list of indices)
+        submitted_at: dict = {}  # future -> monotonic
+        # completed futures arrive here through done-callbacks: one
+        # wake-up per completion however many futures are outstanding
+        finished = queue.SimpleQueue()
+        while True:
+            self._raise_first_failure()
+            if not (todo or retry_at or inflight):
+                return
             if self._pool is None:
-                # pool permanently unavailable: finish what is left
-                # serially (inflight is empty by construction here)
+                # pool gone for good (platform refusal, or the
+                # replacement budget is spent): finish what is left
+                # inline (inflight is empty by construction here)
                 if self.tr.enabled:
                     self.tr.event("sweep.process_fallback", reason="pool_unavailable")
-                self.ran["backend"], self.ran["workers"] = "serial", 1
-                rest = sorted(set(list(todo) + [e[1] for e in retry_at]))
-                for i in rest:
-                    self._serial_item(i)
+                self._run_serial(sorted(set(todo) | {e[1] for e in retry_at}))
                 return
             now = time.monotonic()
             for entry in [e for e in retry_at if e[0] <= now]:
                 retry_at.remove(entry)
                 todo.append(entry[1])
-            # Cap outstanding submissions at the worker count: an item
-            # only enters the executor when a worker is free to take
-            # it, so submission time approximates execution start and
-            # queue wait never accrues against any deadline allowance.
-            while todo and len(inflight) < self.effective:
-                i = todo.popleft()
+            # Without a deadline every chunk goes in up front.  With
+            # one, outstanding submissions are capped at the worker
+            # count: an item only enters the executor when a worker is
+            # free to take it, so submission time approximates execution
+            # start and queue wait never accrues against its allowance.
+            while todo and not (deadline and len(inflight) >= self.effective):
+                chunk = [todo.popleft() for _ in range(min(chunksize, len(todo)))]
                 try:
-                    fut = self._submit(i, scratch)
+                    fut = self._submit(chunk)
                 except BrokenProcessPool:
-                    self.records[i].attempts -= 1
-                    self.attempted[0] -= 1
-                    todo.appendleft(i)
-                    self._recover(inflight, scratch, todo, retry_at)
-                    inflight = {}
+                    self._refund(chunk)
+                    todo.extendleft(reversed(chunk))
+                    self._replace_pool("broken_pool", inflight, todo, retry_at)
                     break
-                inflight[fut] = i
-                submitted_at[i] = time.monotonic()
+                except (OSError, RuntimeError):
+                    # the platform refused a worker (process or thread
+                    # limits): requeue everything for the serial drain
+                    self._refund(chunk)
+                    todo.extendleft(reversed(chunk))
+                    for lost in inflight.values():
+                        self._refund(lost)
+                        todo.extend(lost)
+                    inflight.clear()
+                    _abort_pool(self._pool)
+                    self._pool = None
+                    break
+                inflight[fut] = chunk
+                submitted_at[fut] = time.monotonic()
+                fut.add_done_callback(finished.put)
             if not inflight:
                 if retry_at:
                     nxt = min(e[0] for e in retry_at)
                     time.sleep(min(max(nxt - time.monotonic(), 0.01), 0.25))
                 continue
-            done, _ = _futures_wait(
-                list(inflight), timeout=0.1, return_when=FIRST_COMPLETED
-            )
-            broke = False
-            for fut in done:
-                i = inflight.pop(fut)
+            wait_s = None
+            if deadline:
+                wait_s = 0.05
+            elif retry_at:
+                wait_s = max(min(e[0] for e in retry_at) - time.monotonic(), 0.0)
+            try:
+                fut = finished.get(timeout=wait_s)
+            except queue.Empty:
+                fut = None
+            # None: the wait timed out, or the future belongs to a pool
+            # that was replaced (its items were already accounted for)
+            chunk = inflight.pop(fut, None)
+            if chunk is not None:
+                del submitted_at[fut]
                 try:
                     out = fut.result()
                 except BrokenProcessPool:
-                    inflight[fut] = i  # recovery classifies it with the rest
-                    self._recover(inflight, scratch, todo, retry_at)
-                    inflight = {}
-                    broke = True
-                    break
+                    inflight[fut] = chunk  # classified with the rest
+                    self._replace_pool("broken_pool", inflight, todo, retry_at)
                 except Exception as exc:
-                    # dispatch-side failure (e.g. the item would not
+                    # dispatch-side failure (e.g. an item that would not
                     # pickle): no worker wall time to account
-                    self._handle_failure(i, exc, retry_at=retry_at)
-                    continue
-                self._handle_out(i, out, retry_at)
-            if broke:
-                continue
-            if allowance is not None and inflight:
-                # An item is overdue only once it has *executed* past
-                # the allowance: its breadcrumb mtime is the start
-                # time.  No breadcrumb means the worker never reached
-                # the item body, so fall back to submission time —
-                # accurate to a scheduling tick because submissions
-                # are capped at the worker count above.  Futures that
-                # completed since the wait are harvested next pass,
-                # never killed.
-                now_wall = time.time()
-                now_mono = time.monotonic()
-                overdue = set()
-                for fut, i in inflight.items():
-                    if fut.done():
-                        continue
-                    started = _inflight_started(scratch, i)
-                    if started is not None:
-                        if now_wall - started > allowance:
-                            overdue.add(i)
-                    elif now_mono - submitted_at[i] > allowance:
-                        overdue.add(i)
+                    for i in chunk:
+                        self._handle_failure(i, exc, retry_at=retry_at)
+                else:
+                    self._settle(chunk, out, retry_at)
+            if deadline and inflight:
+                overdue = self._overdue(inflight, submitted_at)
                 if overdue:
-                    self._hard_kill(overdue, inflight, scratch, todo, retry_at)
-                    inflight = {}
+                    self._replace_pool(
+                        "deadline", inflight, todo, retry_at, overdue
+                    )
+            if not inflight:
+                submitted_at.clear()
 
-    def _recover(self, inflight: dict, scratch: str, todo, retry_at) -> None:
-        """BrokenProcessPool recovery: harvest finished futures, replay
-        breadcrumbed crash suspects in isolation, resubmit never-started
-        items for free, and stand up a replacement pool."""
+    def _allowance(self) -> float:
+        """Seconds an attempt may run before the parent gives up on it.
+        A process worker's own ``SIGALRM`` fires first, so the parent
+        only backstops a worker stuck with signals blocked; a thread
+        cannot be interrupted, so the parent abandons it after a short
+        grace."""
+        if self.kind == "process":
+            return self.timeout * 2.0 + 1.0
+        return self.timeout + max(0.25, 0.1 * self.timeout)
+
+    def _overdue(self, inflight: dict, submitted_at: dict) -> set:
+        """Items that have *executed* past the allowance.  A process
+        item times from its breadcrumb, the moment a worker reached it;
+        without one (on threads, or before a worker gets there) from
+        submission, accurate to a scheduling tick because armed
+        submissions are capped at the worker count.  Futures that
+        completed since the wait are harvested next pass, never timed
+        out."""
+        allowance = self._allowance()
+        now_wall = time.time()
+        now_mono = time.monotonic()
+        overdue = set()
+        for fut, (i,) in inflight.items():  # armed: one item per future
+            if fut.done():
+                continue
+            started = self._crumbs[i] if self.kind == "process" else 0.0
+            if started > 0:
+                if now_wall - started > allowance:
+                    overdue.add(i)
+            elif now_mono - submitted_at[fut] > allowance:
+                overdue.add(i)
+        return overdue
+
+    def _replace_pool(
+        self, reason: str, inflight: dict, todo, retry_at, overdue=frozenset()
+    ) -> None:
+        """Tear the pool down and stand up a replacement.
+
+        ``reason`` is ``"broken_pool"`` (a worker process died) or
+        ``"deadline"`` (``overdue`` items outlived their allowance).
+        Process workers are terminated; a thread pool is abandoned — its
+        threads leak until their items return.  Finished futures are
+        harvested and overdue items time out (``kill`` on processes,
+        ``abandoned`` on threads).  After a crash, items whose
+        breadcrumb says they were executing are the suspects, replayed
+        in isolation.
+        Every other item is resubmitted for free: it never started, or
+        its outcome died with the pool.
+        """
         self.pool_replacements += 1
-        if self.tr.enabled:
-            self.tr.event("sweep.pool_replaced", reason="broken_pool")
+        tr = self.tr
+        if tr.enabled:
+            tr.event("sweep.pool_replaced", reason=reason)
         _abort_pool(self._pool)
         self._pool = None
+        enforced = "kill" if self.kind == "process" else "abandoned"
         suspects = []
-        for fut, i in list(inflight.items()):
+        for fut, chunk in inflight.items():
             if fut.done() and not fut.cancelled():
                 exc = fut.exception()
                 if exc is None:
-                    self._handle_out(i, fut.result(), retry_at)
+                    self._settle(chunk, fut.result(), retry_at)
                     continue
                 if not isinstance(exc, BrokenProcessPool):
-                    self._handle_failure(i, exc, retry_at=retry_at)
+                    for i in chunk:
+                        self._handle_failure(i, exc, retry_at=retry_at)
                     continue
-            if os.path.exists(_inflight_path(scratch, i)):
-                _clear_inflight(scratch, i)
-                suspects.append(i)
-            else:
-                # never started executing: refund the charged attempt
-                # and resubmit for free
-                self.records[i].attempts -= 1
-                self.attempted[0] -= 1
-                todo.append(i)
+            for i in chunk:
+                executing = False
+                if self.kind == "process":
+                    executing = self._crumbs[i] > 0
+                    self._crumbs[i] = 0.0
+                if i in overdue:
+                    self._handle_failure(
+                        i,
+                        SweepItemTimeout(i, self.timeout, enforced),
+                        wall=self._allowance(),
+                        retry_at=retry_at,
+                    )
+                elif executing and reason == "broken_pool":
+                    suspects.append(i)
+                else:
+                    self._refund([i])
+                    todo.append(i)
+        inflight.clear()
         if self.pool_replacements >= self.max_pool_replacements:
             # replacement budget spent: pools keep breaking (broken
             # initializer, broken fork/spawn) — stay down and let the
             # serial drain finish rather than churn pools forever
-            if self.tr.enabled:
-                self.tr.event(
+            if tr.enabled:
+                tr.event(
                     "sweep.pool_budget_exhausted",
                     replacements=self.pool_replacements,
                 )
-            for i in suspects:
-                todo.append(i)
-            return
-        self._pool = self._make_pool(self.effective)
-        if self._pool is None:
-            # cannot rebuild: hand suspects to the serial drain too
-            for i in suspects:
-                todo.append(i)
-            return
+        else:
+            self._pool = self._new_pool(self.effective)
         for i in sorted(suspects):
-            self._replay_suspect(i, scratch, todo, retry_at)
+            self._replay_suspect(i, retry_at)
 
-    def _replay_suspect(self, i: int, scratch: str, todo, retry_at) -> None:
+    def _replay_suspect(self, i: int, retry_at) -> None:
         """Replay a crash suspect in an isolated single-worker pool so a
         genuinely poisonous item can only kill its own sandbox.  Budget:
         ``max(1, retries)`` replays — even ``retries=0`` gets one, since
         a crash consumed the original attempt without a verdict."""
-        budget = max(1, self.retries)
+        allowance = None if self.timeout is None else self._allowance()
         last_crash = None
-        while budget > 0:
-            budget -= 1
-            rec = self.records[i]
-            rec.attempts += 1
-            self.attempted[0] += 1
-            iso = self._make_pool(1)
+        for _ in range(max(1, self.retries)):
+            iso = self._new_pool(1)
             if iso is None:
                 last_crash = SweepWorkerCrash(i, "isolation pool unavailable")
                 break
             ok = False
             t0 = time.perf_counter()
             try:
-                fut = iso.submit(
-                    _ItemCall(
-                        self.fn,
-                        self.items[i],
-                        i,
-                        rec.attempts,
-                        self.timeout,
-                        self.chaos,
-                        scratch,
-                    )
+                fut = iso.submit(self._unit(self._charge([i])))
+                out = fut.result(timeout=allowance)
+                ok = True
+            except BrokenProcessPool:
+                last_crash = SweepWorkerCrash(
+                    i, "worker process died while executing this item"
                 )
-                allowance = None if self.timeout is None else self.timeout * 2.0 + 1.0
-                try:
-                    out = fut.result(timeout=allowance)
-                    ok = True
-                except BrokenProcessPool:
-                    _clear_inflight(scratch, i)
-                    last_crash = SweepWorkerCrash(
-                        i, "worker process died while executing this item"
-                    )
-                    continue
-                except _FuturesTimeout:
-                    _clear_inflight(scratch, i)
-                    self._handle_failure(
-                        i,
-                        SweepItemTimeout(i, self.timeout, "kill"),
-                        wall=time.perf_counter() - t0,
-                        retry_at=retry_at,
-                    )
-                    return
+                continue
+            except _FuturesTimeout:
+                self._handle_failure(
+                    i,
+                    SweepItemTimeout(i, self.timeout, "kill"),
+                    wall=time.perf_counter() - t0,
+                    retry_at=retry_at,
+                )
+                return
             finally:
+                self._crumbs[i] = 0.0
                 if ok:
                     iso.shutdown(wait=True)
                 else:
                     _abort_pool(iso)
-            self._handle_out(i, out, retry_at)
+            self._settle([i], out, retry_at)
             return
-        if last_crash is None:  # pragma: no cover - defensive
-            last_crash = SweepWorkerCrash(i)
         self._handle_failure(i, last_crash, retry_at=retry_at, allow_retry=False)
-
-    def _hard_kill(self, overdue, inflight: dict, scratch: str, todo, retry_at) -> None:
-        """A worker blew through its in-worker alarm *and* the parent's
-        allowance (stuck in C code with signals blocked): replace the
-        pool, time out the overdue items, resubmit the rest for free."""
-        self.pool_replacements += 1
-        if self.tr.enabled:
-            self.tr.event("sweep.pool_replaced", reason="deadline")
-        _abort_pool(self._pool)
-        self._pool = None
-        for fut, i in list(inflight.items()):
-            if fut.done() and not fut.cancelled():
-                exc = fut.exception()
-                if exc is None:
-                    self._handle_out(i, fut.result(), retry_at)
-                    continue
-                if not isinstance(exc, BrokenProcessPool):
-                    self._handle_failure(i, exc, retry_at=retry_at)
-                    continue
-            _clear_inflight(scratch, i)
-            if i in overdue:
-                self._handle_failure(
-                    i,
-                    SweepItemTimeout(i, self.timeout, "kill"),
-                    wall=self.timeout * 2.0 + 1.0,
-                    retry_at=retry_at,
-                )
-            else:
-                self.records[i].attempts -= 1
-                self.attempted[0] -= 1
-                todo.append(i)
-        if self.pool_replacements >= self.max_pool_replacements:
-            if self.tr.enabled:
-                self.tr.event(
-                    "sweep.pool_budget_exhausted",
-                    replacements=self.pool_replacements,
-                )
-            return  # pool stays down: the serial drain takes over
-        self._pool = self._make_pool(self.effective)
 
 
 def sweep_map(
@@ -1782,12 +1559,12 @@ def sweep_map(
         ``"serial"`` | ``"thread"`` | ``"process"``; ``None`` consults
         :data:`BACKEND_ENV`, defaulting to ``"thread"``.
     chunksize:
-        Process-backend items per dispatched chunk.  Defaults to
-        ``ceil(len(items) / (4 * workers))`` — large enough to amortise
-        pickling, small enough to load-balance.  Chunking never affects
-        results or their order.  Ignored (forced to 1) when any
-        fault-tolerance knob is engaged: deadlines and crash recovery
-        need per-item dispatch.
+        Thread/process items per dispatched chunk.  Defaults to
+        ``ceil(n / (4 * workers))`` for the ``n`` items left to run
+        (all of them unless a checkpoint restored some) — large enough
+        to amortise pickling, small enough to load-balance.  Chunking never affects
+        results or their order.  Ignored (forced to 1) when a deadline
+        is armed: deadlines time one item per future.
     timeout:
         Per-item deadline in seconds; ``None`` consults
         :data:`TIMEOUT_ENV`.  See the module docstring for per-backend
@@ -1804,7 +1581,7 @@ def sweep_map(
         pickled back surface as :class:`SweepRemoteError` and match by
         the original type's MRO.
     on_item_failure:
-        ``"raise"`` (default) — first exhausted item fails the sweep;
+        ``"raise"`` (default) — an exhausted item fails the sweep;
         ``"retry"`` — like raise but with a default retry budget of 1;
         ``"skip"`` — exhausted items are quarantined: their result slot
         is ``None``, the sweep completes, and ``stats["items"]`` tells
@@ -1829,8 +1606,8 @@ def sweep_map(
     stats:
         Optional dict filled with ``{"workers", "tasks", "attempted",
         "backend"}`` describing what actually ran — the benchmarks
-        record it.  The process backend adds ``"chunksize"`` and
-        ``"worker_cache"`` (per-worker factor-cache hit/miss totals).
+        record it.  The process backend adds ``"chunksize"``, and a
+        sweep that replaced a pool adds ``"pool_replacements"``.
         ``backend`` reports the backend that *executed* (after any
         fallback), and ``backend_requested`` appears when a fallback
         demoted the requested backend (running serial because there is
@@ -1838,18 +1615,17 @@ def sweep_map(
         requested backend's degenerate case, not a fallback).
         The dict is populated even when ``fn`` raises (``attempted``
         counts the executions started — retries included — before the
-        failure).  When fault-tolerance is engaged the dict also gains
-        ``"items"`` (the per-item ledger, capped by
-        ``max_item_records``), ``"items_truncated"``,
+        failure).  When a fault-tolerance knob (or a chaos harness) is
+        armed the dict also gains ``"items"`` (the per-item ledger,
+        capped by ``max_item_records``), ``"items_truncated"``,
         ``"status_counts"`` (exact per-status tallies), ``"retried"``,
         ``"quarantined"``, ``"cached"``, ``"timeouts"``,
         ``"pool_replacements"``, ``"fault_policy"`` and (with a
         checkpoint) ``"checkpoint"``.
 
-    Exceptions raised by ``fn`` propagate to the caller in every
-    backend (the first failing item in item order wins under threads
-    and legacy-path processes; the resilient engine fails fast on the
-    first *exhausted* item in completion order).
+    Exceptions raised by ``fn`` propagate to the caller on every
+    backend: the sweep raises the error of the lowest-indexed item that
+    used up its attempts, once every lower-indexed item has finished.
     """
     items = list(items)
     w = resolve_workers(workers)
@@ -1866,86 +1642,42 @@ def sweep_map(
         if backoff_base < 0 or not math.isfinite(backoff_base):
             raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff!r}")
     chaos = _active_chaos()
-    fault_mode = (
+    armed = (
         eff_timeout is not None
         or ckpt_path is not None
         or mode != "raise"
         or eff_retries > 0
         or chaos is not None
     )
-
-    effective = min(w, len(items)) if items else 1
-    degenerate = effective <= 1  # nothing to parallelise: not a fallback
-    ran_backend = requested if effective > 1 else "serial"
     tr = get_tracer()
-    task = fn
+    engine = _ResilientSweep(
+        fn,
+        items,
+        min(w, len(items)) if items else 1,
+        requested,
+        mode,
+        eff_timeout,
+        eff_retries,
+        backoff_base,
+        eff_retry_on,
+        ckpt_path,
+        checkpoint_tag,
+        chaos,
+        tr,
+        armed,
+        chunksize=chunksize,
+        max_item_records=max_item_records,
+    )
+    sweep_span = None
     if tr.enabled:
-        def task(it, _fn=fn, _tr=tr):
-            with _tr.span("sweep.task"):
-                return _fn(it)
-    attempted = [0]
-    extra_stats = {}
-    # mutable execution record: fallbacks update it *before* running
-    # tasks, so a task exception still leaves stats reporting the
-    # backend that actually executed
-    ran = {"backend": ran_backend, "workers": effective if effective > 1 else 1}
-    engine = None
-    if fault_mode:
-        engine = _ResilientSweep(
-            fn,
-            items,
-            effective,
-            requested,
-            mode,
-            eff_timeout,
-            eff_retries,
-            backoff_base,
-            eff_retry_on,
-            ckpt_path,
-            checkpoint_tag,
-            chaos,
-            tr,
-            ran,
-            attempted,
-            extra_stats,
-            max_item_records=max_item_records,
-        )
-    results: List
+        sweep_span = tr.span("sweep.map", tasks=len(items), backend=requested)
     try:
-        if tr.enabled:
-            sweep_span = tr.span("sweep.map", tasks=len(items), backend=requested)
-            sweep_span.__enter__()
-        else:
-            sweep_span = None
-        try:
-            if engine is not None:
-                results = engine.run()
-            elif effective <= 1 or requested == "serial":
-                ran["backend"], ran["workers"] = "serial", 1
-                results = _serial_run(task, items, attempted)
-            elif requested == "process":
-                results = _process_map(
-                    fn, task, items, effective, chunksize, attempted,
-                    extra_stats, tr, ran,
-                )
-            else:
-                results = _thread_map(task, items, effective, attempted, ran)
-        finally:
-            if sweep_span is not None:
-                sweep_span.annotate(
-                    workers=ran["workers"], attempted=attempted[0],
-                    ran=ran["backend"],
-                )
-                sweep_span.__exit__(None, None, None)
+        return engine.run()
     finally:
+        if sweep_span is not None:
+            sweep_span.annotate(
+                workers=engine.workers, attempted=engine.attempted, ran=engine.kind
+            )
+            sweep_span.__exit__(None, None, None)
         if stats is not None:
-            stats["workers"] = ran["workers"]
-            stats["tasks"] = len(items)
-            stats["attempted"] = attempted[0]
-            stats["backend"] = ran["backend"]
-            if ran["backend"] != requested and not degenerate:
-                stats["backend_requested"] = requested
-            stats.update(extra_stats)
-            if engine is not None:
-                engine.finalize_stats(stats)
-    return results
+            engine.fill_stats(stats)

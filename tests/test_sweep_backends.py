@@ -10,13 +10,14 @@ accounting every benchmark relies on.
 """
 
 import pickle
+import time
 
 import numpy as np
 import pytest
 
 from repro.netlist import Circuit, Sine
 from repro.perf import BACKENDS, resolve_backend, resolve_workers, sweep_map
-from repro.perf.sweep import BACKEND_ENV, WORKERS_ENV, worker_factor_cache
+from repro.perf.sweep import BACKEND_ENV, WORKERS_ENV
 from repro.robust import SolveReport
 
 WORKER_COUNTS = (1, 2, 4)
@@ -39,16 +40,17 @@ def _boom(x):
     return x
 
 
-class _FactorTask:
-    """Task that keys the per-worker factor cache on every item."""
+def _boom_many(x):
+    if x % 2 == 1:
+        raise ValueError(f"boom at {x}")
+    return x
 
-    def __init__(self, A):
-        self.A = A
 
-    def __call__(self, k):
-        cache = worker_factor_cache()
-        solve, _ = cache.factor("A", lambda: self.A)
-        return solve(np.full(self.A.shape[0], float(k)))
+def _boom_late_low(x):
+    """Like ``_boom_many``, but item 3 fails 0.3 s after item 5."""
+    if x == 3:
+        time.sleep(0.3)
+    return _boom_many(x)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +194,19 @@ class TestFailurePaths:
         with pytest.raises(ValueError, match="boom at 2"):
             sweep_map(_boom, [1, 2, 3], workers=workers, backend=backend)
 
-    def test_process_first_failure_in_item_order_wins(self):
-        # items 3 and 5 both raise; the earliest *in item order* surfaces
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"timeout": 60.0}, {"on_item_failure": "retry", "retries": 0}],
+        ids=["unarmed", "timeout", "retry"],
+    )
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    @pytest.mark.parametrize("task", [_boom_many, _boom_late_low], ids=["fast", "late"])
+    def test_first_failure_in_item_order(self, task, backend, knobs):
+        # items 3 and 5 both raise; the earliest *in item order* surfaces,
+        # even when item 3 fails after item 5 (late)
         with pytest.raises(ValueError, match="boom at 3"):
             sweep_map(
-                _boom_many, [2, 3, 4, 5], workers=4, backend="process", chunksize=1
+                task, [2, 3, 4, 5], workers=4, backend=backend, chunksize=1, **knobs
             )
 
     def test_stats_filled_on_process_failure(self):
@@ -235,14 +245,8 @@ class TestFailurePaths:
         assert "backend_requested" not in stats
 
 
-def _boom_many(x):
-    if x % 2 == 1:
-        raise ValueError(f"boom at {x}")
-    return x
-
-
 # ---------------------------------------------------------------------------
-# process-backend specifics: fallback, chunking, worker caches, pickling
+# process-backend specifics: fallback, chunking, pickling
 # ---------------------------------------------------------------------------
 class TestProcessBackend:
     def test_unpicklable_fn_falls_back_to_threads(self):
@@ -264,25 +268,6 @@ class TestProcessBackend:
         sweep_map(_square, list(range(100)), workers=4, backend="process", stats=stats)
         # ceil(100 / (4 * 4)) = 7
         assert stats["chunksize"] == 7
-
-    def test_worker_cache_counts_ship_back(self):
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-        stats = {}
-        out = sweep_map(
-            _FactorTask(A),
-            list(range(12)),
-            workers=2,
-            backend="process",
-            stats=stats,
-        )
-        expect = [np.linalg.solve(A, np.full(5, float(k))) for k in range(12)]
-        for e, o in zip(expect, out):
-            np.testing.assert_allclose(o, e, rtol=1e-10)
-        wc = stats["worker_cache"]
-        # every worker factors once, every further item in its chunks hits
-        assert wc["factor_misses"] >= 1
-        assert wc["factor_hits"] + wc["factor_misses"] == 12
 
     def test_mna_system_pickle_roundtrip(self):
         ckt = Circuit("pkl")
@@ -322,7 +307,7 @@ class TestProcessBackend:
 
 
 # ---------------------------------------------------------------------------
-# fault-tolerance knobs must not perturb results (engine vs legacy paths)
+# fault-tolerance knobs must not perturb results (armed vs unarmed sweeps)
 # ---------------------------------------------------------------------------
 class TestFaultModeEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)

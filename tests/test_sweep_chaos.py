@@ -12,7 +12,8 @@ two headline guarantees:
 * a checkpointed sweep interrupted at item *k* resumes executing only the
   remaining items (verified by call counting).
 
-The CI ``chaos-smoke`` job runs this file on the process backend.
+The CI ``chaos-smoke`` job runs this file on the process and thread
+backends.
 """
 
 import base64
@@ -22,12 +23,15 @@ import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import ac_analysis
 from repro.perf import (
     ON_ITEM_FAILURE_MODES,
@@ -100,8 +104,8 @@ class _Counted:
 class _CrashOnceAt:
     """Kills its worker process the first time it sees ``bad``.
 
-    The marker file makes the crash once-only, so the executor's serial
-    re-run of the lost chunk (legacy path) succeeds in the parent.
+    The marker file makes the crash once-only, so the executor's
+    isolated replay of the crash suspect succeeds.
     """
 
     def __init__(self, marker, bad):
@@ -425,17 +429,83 @@ class TestWorkerCrashes:
         assert ledger[1]["status"] == "skipped"
         assert "SweepWorkerCrash" in ledger[1]["failure_cause"]
 
-    def test_legacy_broken_pool_harvests_and_reruns(self, tmp_path):
-        """No fault knobs → legacy chunked path: a broken pool harvests
-        completed chunks and re-runs only the missing ones serially."""
+    def test_crash_attribution_inside_chunks_under_load(self, tmp_path):
+        """More workers than cores, five items per chunk: the crashing
+        item's breadcrumb survives, so it is charged the crash and
+        replayed.  Only items that were executing when the pool died
+        (at most one per worker) become suspects; their chunk-mates
+        are resubmitted free."""
+        items = list(range(200))
+        chaos = SweepChaos({137: ChaosSpec(kind="crash")}, tmp_path)
+        stats = {}
+        with chaos_sweeps(chaos):
+            out = sweep_map(
+                _square, items, workers=4, backend="process", chunksize=5,
+                stats=stats,
+            )
+        assert out == [x * x for x in items]
+        assert chaos.attempts(137) == 2
+        assert stats["pool_replacements"] == 1
+        attempts = {r["index"]: r["attempts"] for r in stats["items"]}
+        assert attempts[137] == 2
+        replayed = [i for i, a in attempts.items() if a == 2]
+        assert len(replayed) <= 4
+        assert all(attempts[i] == 1 for i in items if i not in replayed)
+
+    def test_broken_pool_harvests_and_reruns(self, tmp_path):
+        """No fault knobs, chunked dispatch: a broken pool harvests
+        completed chunks, replays the crash suspect in isolation and
+        resubmits the rest to a replacement pool."""
         fn = _CrashOnceAt(str(tmp_path / "marker"), bad=5)
         stats = {}
         out = sweep_map(
             fn, list(range(8)), workers=2, backend="process", chunksize=2, stats=stats
         )
         assert out == [x * x for x in range(8)]
-        assert stats["backend"] == "serial"
-        assert stats["backend_requested"] == "process"
+        assert stats["backend"] == "process"
+        assert "backend_requested" not in stats
+        assert stats["pool_replacements"] >= 1
+
+    def test_crashing_item_does_not_kill_the_caller(self, tmp_path):
+        """An unarmed process sweep whose item keeps killing its worker
+        must raise SweepWorkerCrash, never run that item in the caller.
+        The sweep runs in a child interpreter so that a dying caller
+        fails this test instead of killing the test run."""
+        script = tmp_path / "crash_sweep.py"
+        script.write_text(
+            "import os, sys\n"
+            "from repro.perf import SweepWorkerCrash, sweep_map\n"
+            "\n"
+            "def crash_at_5(x):\n"
+            "    if x == 5:\n"
+            "        os._exit(3)\n"
+            "    return x * x\n"
+            "\n"
+            "if __name__ == '__main__':\n"
+            "    try:\n"
+            "        sweep_map(crash_at_5, list(range(8)), workers=2,\n"
+            "                  backend='process')\n"
+            "    except SweepWorkerCrash as exc:\n"
+            "        print('caught', exc.index)\n"
+            "        sys.exit(0)\n"
+            "    sys.exit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        for var in (TIMEOUT_ENV, RETRIES_ENV, CHECKPOINT_ENV):
+            env.pop(var, None)
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stdout, proc.stderr)
+        assert proc.stdout.split() == ["caught", "5"]
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +646,8 @@ class TestPoolReplacementBudget:
         on the serial drain rather than spin forever."""
         from repro.perf import sweep as sweep_mod
 
-        def broken_submit(self, i, scratch):
-            self.records[i].attempts += 1
-            self.attempted[0] += 1
+        def broken_submit(self, chunk):
+            self._charge(chunk)
             raise BrokenProcessPool("injected: submit always breaks")
 
         monkeypatch.setattr(sweep_mod._ResilientSweep, "_submit", broken_submit)
@@ -591,6 +660,26 @@ class TestPoolReplacementBudget:
         assert stats["backend"] == "serial"
         assert stats["backend_requested"] == "process"
         assert stats["pool_replacements"] == max(4, 2 * len(items))
+
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_refused_worker_drains_serially(self, monkeypatch, backend):
+        """A platform that refuses to start a worker (process or thread
+        limits) is not a crash: the sweep finishes serially, without
+        replacing pools or charging the refused attempts."""
+        from repro.perf import sweep as sweep_mod
+
+        def refused_submit(self, chunk):
+            self._charge(chunk)
+            raise RuntimeError("injected: can't start new thread")
+
+        monkeypatch.setattr(sweep_mod._ResilientSweep, "_submit", refused_submit)
+        stats = {}
+        out = sweep_map(_square, [1, 2, 3], workers=2, backend=backend, stats=stats)
+        assert out == [1, 4, 9]
+        assert stats["backend"] == "serial"
+        assert stats["backend_requested"] == backend
+        assert stats["attempted"] == 3
+        assert "pool_replacements" not in stats
 
 
 # ---------------------------------------------------------------------------
