@@ -53,7 +53,8 @@ or failing transiently.  :func:`sweep_map` grows four orthogonal knobs
     ``SIGALRM`` when running on the main thread and post-hoc detection
     otherwise; the thread backend discards late results post hoc and
     can only *abandon* a stuck item's pool (soft timeout — its threads
-    leak until their items return).
+    leak until their items return; the pool's other items run on and
+    are not run again).
 ``retries=`` / ``retry_backoff=`` / ``retry_on=``
     Bounded re-execution of failed items with deterministic jittered
     exponential backoff (:func:`backoff_seconds` — no RNG state, so two
@@ -87,24 +88,28 @@ or failing transiently.  :func:`sweep_map` grows four orthogonal knobs
 
 One executor runs every sweep, armed or not.  A serial sweep runs the
 per-item unit inline.  Thread and process sweeps share one dispatch
-loop and differ only in the pool and the unit they submit.  With no
-deadline armed, items go out in chunks of ``chunksize`` (default
-``ceil(n / (4 * workers))``), all submitted up front.  With a deadline,
-each future carries one item and no more futures than workers are
-outstanding, so the parent's backstop can time each item from its
-start.  A process pool that breaks mid-flight (a worker was OOM-killed
-or segfaulted) is replaced, armed or not: finished futures are
-harvested, the crash *suspects* — items whose breadcrumb says a
-worker was executing them when it died — are replayed in isolated
-single-worker pools, and every other item is resubmitted for free.
+loop and differ only in the pool and the unit they submit.  A thread
+future carries one item.  A process sweep with no deadline or
+checkpoint armed sends items in chunks of ``chunksize`` (default
+``ceil(n / (4 * workers))``), all submitted up front; with a checkpoint
+each future carries one item, so an item is saved as soon as it
+finishes.  With a deadline, each future carries one item and no more
+futures than workers are outstanding, so the parent's backstop can
+time each item from its start.  Under ``"raise"`` with no retry budget
+a chunk stops at its first failure.  A process pool that breaks
+mid-flight (a worker was OOM-killed or segfaulted) is replaced, armed
+or not: finished futures are harvested, the crash *suspects* — items
+whose breadcrumb says a worker was executing them when it died — are
+replayed in isolated single-worker pools, and every other item is
+resubmitted for free.
 Under ``"raise"`` (and ``"retry"`` once retries run out) the sweep
 raises the error of the lowest-indexed item that used up its attempts,
 once every lower-indexed item has finished, so the error does not
 depend on the backend, worker count, chunking or completion order.
 Arming a knob (or installing a
 :func:`repro.robust.faultinject.chaos_sweeps` harness) adds the
-per-item ledger to ``stats``; a deadline also switches dispatch to one
-item per future.
+per-item ledger to ``stats``; a deadline or a checkpoint also switches
+process dispatch to one item per future.
 
 Worker processes are seeded at pool start with the parent's tracing
 state: child spans are aggregated in-memory and folded back into the
@@ -609,10 +614,10 @@ def _run_item(fn, index, item, attempt, timeout, chaos, tr, crumbs=None):
 
     The failure comes back in-band, so the caller gets the attempt's
     wall time either way.  Serial sweeps call this inline and thread
-    pools run it chunk by chunk through :func:`_run_items`: spans go
-    straight to the parent's tracer ``tr`` and a failure is the
-    original exception object.  Process workers run it through
-    :class:`_ProcessUnit`, passing their breadcrumb array ``crumbs``.
+    pools run it through :func:`_run_items`: spans go straight to the
+    parent's tracer ``tr`` and a failure is the original exception
+    object.  Process workers run it through :class:`_ProcessUnit`,
+    passing their breadcrumb array ``crumbs``.
     A result that arrives after its deadline where no ``SIGALRM`` could
     interrupt it (any thread but the main one) is discarded post hoc,
     so the deadline contract holds on every backend.
@@ -642,13 +647,18 @@ def _run_item(fn, index, item, attempt, timeout, chaos, tr, crumbs=None):
     return result, failure, wall
 
 
-def _run_items(fn, entries, timeout, chaos, tr, crumbs=None) -> List:
+def _run_items(fn, entries, timeout, chaos, tr, stop, crumbs=None) -> List:
     """One chunk: the per-item unit over ``(index, item, attempt)``
-    entries in order.  A failing item does not stop its chunk."""
-    return [
-        _run_item(fn, index, item, attempt, timeout, chaos, tr, crumbs)
-        for index, item, attempt in entries
-    ]
+    entries in order.  With ``stop`` set (no retry or quarantine can
+    absorb a failure) the chunk ends at its first failure: the sweep
+    will raise, and its later items could only fail at higher indices."""
+    outcomes = []
+    for index, item, attempt in entries:
+        outcome = _run_item(fn, index, item, attempt, timeout, chaos, tr, crumbs)
+        outcomes.append(outcome)
+        if stop and outcome[1] is not None:
+            break
+    return outcomes
 
 
 class _ProcessUnit:
@@ -663,19 +673,20 @@ class _ProcessUnit:
     future.
     """
 
-    __slots__ = ("fn", "entries", "timeout", "chaos")
+    __slots__ = ("fn", "entries", "timeout", "chaos", "stop")
 
-    def __init__(self, fn, entries, timeout, chaos):
+    def __init__(self, fn, entries, timeout, chaos, stop):
         self.fn = fn
         self.entries = entries
         self.timeout = timeout
         self.chaos = chaos
+        self.stop = stop
 
     def __call__(self):
         tr = get_tracer()
         mark = tr.mark() if tr.enabled else None
         outcomes = _run_items(
-            self.fn, self.entries, self.timeout, self.chaos, tr, _CRUMBS
+            self.fn, self.entries, self.timeout, self.chaos, tr, self.stop, _CRUMBS
         )
         for k, (result, failure, wall) in enumerate(outcomes):
             if failure is None:
@@ -1111,10 +1122,11 @@ class _ResilientSweep:
 
     def _unit(self, entries: List[tuple]):
         """The callable that runs ``entries`` on the current backend."""
+        stop = self.mode != "skip" and self.retries == 0
         if self.kind == "process":
-            return _ProcessUnit(self.fn, entries, self.timeout, self.chaos)
+            return _ProcessUnit(self.fn, entries, self.timeout, self.chaos, stop)
         return functools.partial(
-            _run_items, self.fn, entries, self.timeout, self.chaos, self.tr
+            _run_items, self.fn, entries, self.timeout, self.chaos, self.tr, stop
         )
 
     def _retryable(self, exc) -> bool:
@@ -1198,6 +1210,9 @@ class _ResilientSweep:
                 self.tr.absorb(summary)
         for i, outcome in zip(chunk, out):
             self._account(i, outcome, retry_at)
+        if len(out) < len(chunk):
+            # the unit stopped at a failure: the rest never ran
+            self._refund(chunk[len(out):])
 
     def _raise_first_failure(self) -> None:
         """Raise the error of the lowest-indexed item that used up its
@@ -1264,8 +1279,11 @@ class _ResilientSweep:
             self._pool = self._new_pool(self.effective)
         if self._pool is None:
             return self._run_serial(pending)
-        if self.timeout is not None:
-            chunksize = 1  # deadlines time one item per future
+        if self.kind == "thread" or self.timeout is not None or self.store is not None:
+            # a thread future has no pickling to amortise, a deadline
+            # times one item per future, and a checkpoint saves each
+            # item as its future returns
+            chunksize = 1
         elif self.chunksize_arg is None:
             chunksize = max(1, math.ceil(len(pending) / (4 * self.effective)))
         else:
@@ -1301,10 +1319,11 @@ class _ResilientSweep:
             self._raise_first_failure()
             if not (todo or retry_at or inflight):
                 return
-            if self._pool is None:
+            if self._pool is None and not inflight:
                 # pool gone for good (platform refusal, or the
-                # replacement budget is spent): finish what is left
-                # inline (inflight is empty by construction here)
+                # replacement budget is spent): once the items still
+                # running in an abandoned thread pool are in, finish
+                # what is left inline
                 if self.tr.enabled:
                     self.tr.event("sweep.process_fallback", reason="pool_unavailable")
                 self._run_serial(sorted(set(todo) | {e[1] for e in retry_at}))
@@ -1318,7 +1337,11 @@ class _ResilientSweep:
             # count: an item only enters the executor when a worker is
             # free to take it, so submission time approximates execution
             # start and queue wait never accrues against its allowance.
-            while todo and not (deadline and len(inflight) >= self.effective):
+            while (
+                self._pool is not None
+                and todo
+                and not (deadline and len(inflight) >= self.effective)
+            ):
                 chunk = [todo.popleft() for _ in range(min(chunksize, len(todo)))]
                 try:
                     fut = self._submit(chunk)
@@ -1422,14 +1445,15 @@ class _ResilientSweep:
 
         ``reason`` is ``"broken_pool"`` (a worker process died) or
         ``"deadline"`` (``overdue`` items outlived their allowance).
-        Process workers are terminated; a thread pool is abandoned — its
-        threads leak until their items return.  Finished futures are
-        harvested and overdue items time out (``kill`` on processes,
-        ``abandoned`` on threads).  After a crash, items whose
-        breadcrumb says they were executing are the suspects, replayed
-        in isolation.
-        Every other item is resubmitted for free: it never started, or
-        its outcome died with the pool.
+        Overdue items time out (``kill`` on processes, ``abandoned`` on
+        threads).  Process workers are terminated: finished futures are
+        harvested, and after a crash the items whose breadcrumb says
+        they were executing are the suspects, replayed in isolation.
+        A thread pool is abandoned: its threads leak until their items
+        return, and the items it is still running stay in flight, their
+        done-callbacks reporting them as usual.  Every other item is
+        resubmitted for free: it never started, or its outcome died
+        with the pool.
         """
         self.pool_replacements += 1
         tr = self.tr
@@ -1437,9 +1461,13 @@ class _ResilientSweep:
             tr.event("sweep.pool_replaced", reason=reason)
         _abort_pool(self._pool)
         self._pool = None
-        enforced = "kill" if self.kind == "process" else "abandoned"
+        threads = self.kind == "thread"
+        enforced = "abandoned" if threads else "kill"
         suspects = []
-        for fut, chunk in inflight.items():
+        for fut, chunk in list(inflight.items()):
+            if threads and not fut.cancelled() and chunk[0] not in overdue:
+                continue  # running on (or done): reported by its callback
+            del inflight[fut]
             if fut.done() and not fut.cancelled():
                 exc = fut.exception()
                 if exc is None:
@@ -1451,7 +1479,7 @@ class _ResilientSweep:
                     continue
             for i in chunk:
                 executing = False
-                if self.kind == "process":
+                if not threads:
                     executing = self._crumbs[i] > 0
                     self._crumbs[i] = 0.0
                 if i in overdue:
@@ -1466,7 +1494,6 @@ class _ResilientSweep:
                 else:
                     self._refund([i])
                     todo.append(i)
-        inflight.clear()
         if self.pool_replacements >= self.max_pool_replacements:
             # replacement budget spent: pools keep breaking (broken
             # initializer, broken fork/spawn) — stay down and let the
@@ -1559,12 +1586,14 @@ def sweep_map(
         ``"serial"`` | ``"thread"`` | ``"process"``; ``None`` consults
         :data:`BACKEND_ENV`, defaulting to ``"thread"``.
     chunksize:
-        Thread/process items per dispatched chunk.  Defaults to
+        Process items per dispatched chunk.  Defaults to
         ``ceil(n / (4 * workers))`` for the ``n`` items left to run
         (all of them unless a checkpoint restored some) — large enough
         to amortise pickling, small enough to load-balance.  Chunking never affects
         results or their order.  Ignored (forced to 1) when a deadline
-        is armed: deadlines time one item per future.
+        or a checkpoint is armed: deadlines time one item per future,
+        and a checkpoint saves each item as its future returns.  Thread
+        sweeps always dispatch one item per future.
     timeout:
         Per-item deadline in seconds; ``None`` consults
         :data:`TIMEOUT_ENV`.  See the module docstring for per-backend

@@ -10,6 +10,7 @@ accounting every benchmark relies on.
 """
 
 import pickle
+import threading
 import time
 
 import numpy as np
@@ -51,6 +52,21 @@ def _boom_late_low(x):
     if x == 3:
         time.sleep(0.3)
     return _boom_many(x)
+
+
+class _LoggedBoomAt:
+    """Logs each execution to a file (workers included); raises at ``bad``."""
+
+    def __init__(self, log, bad):
+        self.log = log
+        self.bad = bad
+
+    def __call__(self, x):
+        with open(self.log, "a") as fh:
+            fh.write(f"{x}\n")
+        if x == self.bad:
+            raise ValueError(f"boom at {x}")
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +225,22 @@ class TestFailurePaths:
                 task, [2, 3, 4, 5], workers=4, backend=backend, chunksize=1, **knobs
             )
 
+    def test_failure_stops_the_rest_of_its_chunk(self, tmp_path):
+        # under "raise" with no retry budget the sweep fails at item 0,
+        # so the rest of its chunk (items 1-3) is never run
+        log = tmp_path / "ran"
+        with pytest.raises(ValueError, match="boom at 0"):
+            sweep_map(
+                _LoggedBoomAt(str(log), 0),
+                list(range(8)),
+                workers=2,
+                backend="process",
+                chunksize=4,
+            )
+        ran = {int(x) for x in log.read_text().split()}
+        assert 0 in ran
+        assert not ran & {1, 2, 3}
+
     def test_stats_filled_on_process_failure(self):
         stats = {}
         with pytest.raises(ValueError, match="boom at 2"):
@@ -243,6 +275,26 @@ class TestFailurePaths:
         sweep_map(_square, [1, 2, 3], workers=1, backend="process", stats=stats)
         assert stats["backend"] == "serial"
         assert "backend_requested" not in stats
+
+
+class TestThreadBackend:
+    def test_items_go_one_per_future(self):
+        # chunksize=4 would put items 0 and 1 in one chunk on one
+        # thread, where item 0 would wait out its 5 s for item 1
+        started = threading.Event()
+
+        def task(x):
+            if x == 1:
+                started.set()
+            return started.wait(5.0) if x == 0 else x
+
+        stats = {}
+        out = sweep_map(
+            task, list(range(8)), workers=2, backend="thread", chunksize=4,
+            stats=stats,
+        )
+        assert out == [True] + list(range(1, 8))
+        assert "chunksize" not in stats
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ backends.
 """
 
 import base64
+import collections
 import io
 import json
 import multiprocessing
@@ -25,6 +26,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -352,6 +354,49 @@ class TestDeadlines:
         assert ledger[0]["status"] == "ok"
         assert "abandoned" in ledger[0]["failure_cause"]
 
+    def test_thread_abandonment_keeps_other_items_running(self):
+        """Abandoning the pool of a stuck item must not run the other
+        items that pool is still executing a second time: they stay in
+        flight and report through their own futures."""
+        hang, release = threading.Event(), threading.Event()
+        calls = collections.Counter()
+        lock = threading.Lock()
+
+        def task(x):
+            with lock:
+                calls[x] += 1
+                first = calls[x] == 1
+            if x == 0 and first:
+                hang.wait(30.0)  # stuck until the test ends
+            elif x == 0:
+                release.set()  # the retry lets item 2 finish
+            elif x == 1:
+                time.sleep(1.2)
+            elif x == 2:
+                release.wait(10.0)  # in flight when item 0 is abandoned
+            return x * x
+
+        stats = {}
+        try:
+            out = sweep_map(
+                task,
+                [0, 1, 2],
+                workers=2,
+                backend="thread",
+                timeout=2.0,
+                on_item_failure="retry",
+                stats=stats,
+            )
+        finally:
+            hang.set()
+        assert out == [0, 1, 4]
+        assert calls == {0: 2, 1: 1, 2: 1}
+        assert stats["pool_replacements"] == 1
+        ledger = {r["index"]: r for r in stats["items"]}
+        assert "abandoned" in ledger[0]["failure_cause"]
+        assert ledger[2]["status"] == "ok"
+        assert ledger[2]["attempts"] == 1
+
     def test_process_backend_worker_alarm(self, tmp_path):
         chaos = SweepChaos({2: ChaosSpec(kind="hang", duration=30.0)}, tmp_path)
         stats = {}
@@ -536,6 +581,64 @@ class TestCheckpoint:
         ledger = {r["index"]: r for r in stats["items"]}
         assert all(ledger[i]["status"] == "cached" for i in range(3))
         assert all(ledger[i]["status"] == "ok" for i in range(3, 6))
+
+    def test_interrupted_process_sweep_saves_items_as_they_finish(self, tmp_path):
+        """A checkpointed process sweep saves each item as its worker
+        finishes it: interrupted mid-sweep, it loses at most the items
+        that were in transit, one per worker.  The sweep runs in a child
+        interpreter; one of its items interrupts it with SIGINT."""
+        script = tmp_path / "interrupted_sweep.py"
+        log = tmp_path / "finished"
+        ck = tmp_path / "ck.jsonl"
+        script.write_text(
+            "import os, signal, sys, time\n"
+            "from repro.perf import sweep_map\n"
+            "\n"
+            "def task(x):\n"
+            "    if x == 29:\n"
+            "        os.kill(os.getppid(), signal.SIGINT)\n"
+            "        time.sleep(30.0)\n"
+            "    time.sleep(0.02)\n"
+            "    with open(sys.argv[1], 'a') as fh:\n"
+            "        fh.write(f'{x}\\n')\n"
+            "    return x * x\n"
+            "\n"
+            "if __name__ == '__main__':\n"
+            "    try:\n"
+            "        sweep_map(task, list(range(48)), workers=2,\n"
+            "                  backend='process', checkpoint=sys.argv[2],\n"
+            "                  checkpoint_tag='interrupted')\n"
+            "    except KeyboardInterrupt:\n"
+            "        sys.exit(0)\n"
+            "    sys.exit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        for var in (TIMEOUT_ENV, RETRIES_ENV, CHECKPOINT_ENV):
+            env.pop(var, None)
+        proc = subprocess.run(
+            [sys.executable, str(script), str(log), str(ck)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stdout, proc.stderr)
+
+        stats = {}
+        out = sweep_map(
+            _square, list(range(48)), backend="serial", checkpoint=str(ck),
+            checkpoint_tag="interrupted", stats=stats,
+        )
+        assert out == [x * x for x in range(48)]
+        restored = {r["index"] for r in stats["items"] if r["status"] == "cached"}
+        finished = {int(x) for x in log.read_text().split()}
+        assert 29 not in restored
+        assert restored <= finished
+        assert len(finished - restored) <= 2
 
     def test_checkpoint_keyed_by_fn_fingerprint(self, tmp_path):
         ck = str(tmp_path / "ck.jsonl")
