@@ -74,13 +74,17 @@ or failing transiently.  :func:`sweep_map` grows four orthogonal knobs
     :class:`~repro.robust.report.SweepItemRecord` dicts with wall time,
     attempts, backoff and failure cause per item).
 ``checkpoint=`` / ``checkpoint_tag=``
-    Path of an append-only JSONL checkpoint.  Completed items are
+    Path of an append-only JSONL checkpoint, a
+    :class:`repro.durable.AppendLog` that the sweep appends to through
+    one held descriptor and closes when it ends.  Completed items are
     persisted keyed by a content address (fingerprint of ``fn`` +
     pickle hash of the item), so an interrupted sweep — including one
     torn down by ``KeyboardInterrupt`` or a broken pool — resumes
-    executing only the items not already on disk.  ``checkpoint_tag``
-    pins the fingerprint explicitly when ``fn`` is rebuilt between runs
-    (closures, functools.partial) and would not hash stably.
+    executing only the items not already on disk.  Appends are not
+    fsync'd: a line survives the sweep's death, not a power loss.
+    ``checkpoint_tag`` pins the fingerprint explicitly when ``fn`` is
+    rebuilt between runs (closures, functools.partial) and would not
+    hash stably.
     Restoring unpickles the stored results, so the checkpoint file must
     come from a trusted writer; set ``REPRO_SWEEP_CHECKPOINT_KEY`` to
     authenticate every line with an HMAC and have restore ignore
@@ -122,15 +126,12 @@ from __future__ import annotations
 import base64
 import functools
 import hashlib
-import hmac
-import json
 import math
 import multiprocessing
 import os
 import pickle
 import queue
 import signal
-import tempfile
 import threading
 import time
 from collections import deque
@@ -140,6 +141,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional
 
 from .. import trace as _trace
+from ..durable import AppendLog
 from ..robust.report import SweepItemRecord
 from ..trace import get_tracer
 
@@ -746,151 +748,91 @@ def _item_key(fingerprint: str, item) -> str:
 
 
 class _CheckpointStore:
-    """Append-only JSONL store of completed sweep items.
+    """Completed sweep items in a :class:`~repro.durable.AppendLog`.
 
     One line per completed item: ``{"fp", "key", "index", "result"}``
     with the result pickled and base64'd.  Lines whose fingerprint does
     not match the current sweep's are ignored (several sweeps may share
-    a file), as are truncated/corrupt lines from an interrupted write —
-    resume is best-effort by construction, never worse than recomputing.
+    a file), and replay skips torn/corrupt lines — resume is
+    best-effort by construction, never worse than recomputing.
 
     **Trust boundary**: restore unpickles the result blobs, and
     unpickling attacker-controlled bytes executes arbitrary code, so a
     checkpoint file (including one named by :data:`CHECKPOINT_ENV`)
     must only ever come from a trusted writer.  Setting
-    :data:`CHECKPOINT_KEY_ENV` adds a per-line HMAC-SHA256 over
-    ``fp|key|result``: saved lines carry a ``"mac"`` field, and restore
-    ignores any line whose MAC is missing or wrong — tampered or
-    foreign lines are recomputed instead of unpickled.
+    :data:`CHECKPOINT_KEY_ENV` makes every saved line carry the log's
+    HMAC-SHA256 ``mac``, and restore ignores any line of this sweep
+    whose MAC is missing or wrong — tampered or foreign lines are
+    recomputed instead of unpickled.
     """
 
     def __init__(self, path, fingerprint: str):
-        self.path = os.fspath(path)
+        raw_key = os.environ.get(CHECKPOINT_KEY_ENV, "")
+        self.log = AppendLog(path, raw_key.encode("utf-8") if raw_key else None)
+        self.path = self.log.path
         self.fingerprint = fingerprint
         self.saved = 0
         self.compacted = None
-        self._results = {}
-        raw_key = os.environ.get(CHECKPOINT_KEY_ENV, "")
-        self._key = raw_key.encode("utf-8") if raw_key else None
-        try:
-            fh = open(self.path, "r", encoding="utf-8")
-        except OSError:
-            return
-        # latest surviving raw line per (fp, key) — every fingerprint
-        # sharing the file, lines kept verbatim so foreign MACs survive
-        # a compaction rewrite untouched
+        #: key -> unpickled result of this sweep's latest trusted line
+        self.restored = {}
+        records, _ = self.log.replay(0)
+        # latest record per (fp, key) of every fingerprint sharing the
+        # file: what a compaction keeps
         latest: dict = {}
-        total = 0
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                total += 1
+        for rec in records:
+            if "key" not in rec:
+                continue
+            mine = rec.get("fp") == fingerprint
+            if mine and not self.log.authentic(rec):
+                continue  # tampered: never restored, never kept
+            latest[(rec.get("fp"), rec["key"])] = rec
+            if mine:
                 try:
-                    rec = json.loads(line)
-                except ValueError:
-                    continue  # torn/corrupt: unusable, compactable
-                if not isinstance(rec, dict) or "key" not in rec:
-                    continue
-                mine = rec.get("fp") == fingerprint
-                if mine and self._key is not None and not self._authentic(rec):
-                    continue  # tampered: never restored, never kept
-                latest[(rec.get("fp"), rec["key"])] = line
-                if not mine:
-                    continue
-                try:
-                    result = pickle.loads(base64.b64decode(rec["result"]))
+                    self.restored[rec["key"]] = pickle.loads(base64.b64decode(rec["result"]))
                 except Exception:
-                    continue
-                self._results[rec["key"]] = result
-        self._maybe_compact(latest, total)
+                    pass  # undecodable result: the item is recomputed
+        self._maybe_compact(latest, self.log.stats["lines"])
 
     def _maybe_compact(self, latest: dict, total: int) -> None:
         """Atomically rewrite the file when it is both big and garbagey.
 
         Triggered at store open, when the file exceeds the
         :func:`resolve_checkpoint_compact` byte budget *and* holds lines
-        that no resume can use (superseded duplicates, torn tails,
-        tampered lines).  The rewrite keeps exactly the latest line per
-        ``(fingerprint, key)`` — verbatim, so lines belonging to other
-        sweeps (including their MACs) ride through — via tmp-file +
-        ``os.replace``, so a crash mid-compaction leaves the original.
+        that no resume can use (superseded duplicates, torn or tampered
+        lines).  The rewrite keeps exactly the latest line per
+        ``(fingerprint, key)`` — other sweeps' lines keep their MACs —
+        and is published atomically, so a crash mid-compaction leaves
+        the original.
         """
         limit = resolve_checkpoint_compact()
         if limit <= 0 or total <= len(latest):
             return
         try:
             size = os.path.getsize(self.path)
-        except OSError:
-            return
-        if size <= limit:
-            return
-        blob = "".join(line + "\n" for line in latest.values())
-        d = os.path.dirname(self.path) or "."
-        try:
-            fd, tmp = tempfile.mkstemp(prefix=".ckpt-compact-", dir=d)
-        except OSError:  # pragma: no cover - unwritable checkpoint dir
-            return
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(blob)
-            os.replace(tmp, self.path)
-        except OSError:  # pragma: no cover - rewrite failed: keep original
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if size <= limit:
+                return
+            after = self.log.rewrite(latest.values())
+        except OSError:  # pragma: no cover - unwritable dir: keep original
             return
         self.compacted = {
             "before_bytes": size,
-            "after_bytes": len(blob.encode("utf-8")),
+            "after_bytes": after,
             "dropped_lines": total - len(latest),
         }
-
-    def _mac(self, rec: dict) -> str:
-        payload = "|".join(
-            (str(rec.get("fp", "")), str(rec.get("key", "")), str(rec.get("result", "")))
-        ).encode("utf-8")
-        return hmac.new(self._key, payload, hashlib.sha256).hexdigest()
-
-    def _authentic(self, rec: dict) -> bool:
-        mac = rec.get("mac")
-        return isinstance(mac, str) and hmac.compare_digest(mac, self._mac(rec))
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._results
-
-    def load(self, key: str):
-        return self._results[key]
 
     def put(self, key: str, index: int, result) -> None:
         try:
             blob = base64.b64encode(pickle.dumps(result)).decode("ascii")
         except Exception:
             return  # unpicklable results simply are not checkpointable
-        rec = {"fp": self.fingerprint, "key": key, "index": index, "result": blob}
-        if self._key is not None:
-            rec["mac"] = self._mac(rec)
-        line = json.dumps(rec)
-        # torn-tail guard: a writer killed mid-append leaves a file with
-        # no trailing newline; starting this line with our own newline
-        # isolates the torn tail instead of corrupting this record too
-        prefix = ""
         try:
-            with open(self.path, "rb") as rf:
-                rf.seek(-1, os.SEEK_END)
-                if rf.read(1) != b"\n":
-                    prefix = "\n"
+            self.log.append({"fp": self.fingerprint, "key": key, "index": index, "result": blob})
         except OSError:
-            pass  # empty or missing file: nothing to guard
-        try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(prefix + line + "\n")
-        except OSError:  # pragma: no cover - read-only checkpoint dir
-            return
-        self._results[key] = result
+            return  # disk full, read-only dir: the item stays unsaved
         self.saved += 1
+
+    def close(self) -> None:
+        self.log.close()
 
 
 def _abort_pool(pool) -> None:
@@ -1092,8 +1034,8 @@ class _ResilientSweep:
         rest = []
         for i in pending:
             key = self.keys[i]
-            if key is not None and key in self.store:
-                self.results[i] = self.store.load(key)
+            if key is not None and key in self.store.restored:
+                self.results[i] = self.store.restored[key]
                 self.records[i].status = "cached"
                 self.cached += 1
                 if self.tr.enabled:
@@ -1624,8 +1566,9 @@ def sweep_map(
         a checkpoint file that exceeds the
         :data:`CHECKPOINT_COMPACT_ENV` byte budget and contains
         superseded/corrupt lines compacts it atomically (latest line
-        per item key, every fingerprint preserved); the rewrite is
-        reported under ``stats["checkpoint"]["compacted"]``.
+        per item key, every fingerprint preserved; the rewrite is
+        fsync'd before it replaces the file) and reports it under
+        ``stats["checkpoint"]["compacted"]``.
     max_item_records:
         Cap on detailed ``stats["items"]`` entries (``None`` consults
         :data:`MAX_ITEM_RECORDS_ENV`, defaulting to 10000; ``0`` means
@@ -1703,6 +1646,8 @@ def sweep_map(
     try:
         return engine.run()
     finally:
+        if engine.store is not None:
+            engine.store.close()
         if sweep_span is not None:
             sweep_span.annotate(
                 workers=engine.workers, attempted=engine.attempted, ran=engine.kind

@@ -23,9 +23,14 @@ machine died".  This package is that service layer for the repro stack:
 * :class:`ServeClient` — the scripting client with retry/backoff and
   verify-before-unpickle result fetching.
 
+Job specs and results are fsync'd; WAL events survive the death of any
+process and torn writes but not a power loss, which can drop a job that
+``submit`` already acknowledged.
+
 ``python -m repro.serve`` is the operator CLI (including ``serve`` for
 the HTTP front-end and ``gc`` for store eviction).  See DESIGN.md ("Job
-lifecycle") for the state machine and the crash-recovery rules.
+lifecycle", "Durable storage") for the state machine and the
+crash-recovery rules.
 """
 
 from .client import ServeClient, ServeClientError, ServeResultError

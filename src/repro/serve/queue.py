@@ -41,10 +41,11 @@ import time
 import uuid
 from typing import Dict, List, Optional
 
+from ..durable import atomic_write_json
 from ..perf.sweep import backoff_seconds
 from ..trace import get_tracer
 from .jobspec import JobSpec
-from .store import ResultStore, atomic_write_json
+from .store import ResultStore
 from .wal import WALError, WriteAheadLog
 
 __all__ = ["JOB_STATES", "JobRecord", "JobQueue", "ServiceConfig"]

@@ -16,8 +16,9 @@ Submission runs the admission gate (:func:`repro.serve.runner.lint_spec`
 never cost a worker), then the content-addressed fast paths: an already
 recorded result completes the job instantly (``cached``), an identical
 job already in flight is joined rather than duplicated (``deduped``).
-Everything else is durably enqueued and executed by workers — inline
-via :meth:`drain`, or real processes via :meth:`spawn_workers`.
+Everything else is enqueued (its spec fsync'd, its ``submitted``
+event appended to the WAL, not fsync'd) and executed by workers —
+inline via :meth:`drain`, or real processes via :meth:`spawn_workers`.
 
 Opening a service root *is* crash recovery: the WAL replay rebuilds the
 job table (skipping torn/corrupt lines), and :meth:`recover` reclaims
@@ -35,12 +36,12 @@ import os
 import time
 from typing import Dict, List, Optional
 
+from ..durable import atomic_write_json
 from ..robust.diagnostics import ValidationReport
 from ..trace import get_tracer
 from .jobspec import JobSpec
 from .queue import JobQueue, ServiceConfig
 from .runner import lint_spec
-from .store import atomic_write_json
 from .worker import Worker, worker_main
 
 __all__ = ["SimulationService", "SubmitResult", "open_service"]
@@ -50,7 +51,7 @@ __all__ = ["SimulationService", "SubmitResult", "open_service"]
 class SubmitResult:
     """What :meth:`SimulationService.submit` tells the caller.
 
-    ``state`` is one of ``"queued"`` (durably enqueued), ``"done"``
+    ``state`` is one of ``"queued"`` (enqueued), ``"done"``
     (content-addressed cache hit: the result already exists),
     ``"deduped"`` (an identical job is already in flight — this is its
     id) or ``"rejected"`` (admission gate; see ``report``).
@@ -100,7 +101,7 @@ class SimulationService:
         params: Optional[Dict] = None,
         label: str = "",
     ) -> SubmitResult:
-        """Admit, dedupe and durably enqueue one simulation job."""
+        """Admit, dedupe and enqueue one simulation job."""
         spec = JobSpec(netlist=netlist, analysis=analysis,
                        params=params or {}, label=label)
         tr = get_tracer()

@@ -5,13 +5,15 @@ metadata; ``key`` is :func:`repro.serve.jobspec.content_key` — identical
 submissions share one entry, so repeated textbook-circuit traffic costs
 one solve ever.  Four properties the service leans on:
 
-* **durable + atomic** — payloads are written to a temp file in the
-  same directory, ``fsync``'d, hard-linked into place and the directory
-  ``fsync``'d, so neither a crashed writer *nor a power loss* can leave
-  a zero-length or torn ``.pkl`` that readers mistake for a whole one.
-  (``fsync`` guarantees the bytes and the directory entry survive an
-  OS crash; it cannot defend against disk firmware lying about write
-  barriers — see DESIGN.md "Store durability contract".)
+* **durable + atomic** — the sidecar is published with
+  :func:`repro.durable.atomic_write_json`; payloads are written to a
+  temp file in the same directory, ``fsync``'d, hard-linked into place
+  and the directory ``fsync``'d (:func:`repro.durable.fsync_dir`), so
+  neither a crashed writer *nor a power loss* can leave a zero-length
+  or torn ``.pkl`` that readers mistake for a whole one.  (``fsync``
+  guarantees the bytes and the directory entry survive an OS crash; it
+  cannot defend against disk firmware lying about write barriers — see
+  DESIGN.md "Store durability contract".)
 * **write-once** — :meth:`ResultStore.put` publishes via
   ``os.link`` of the fsync'd temp file, so the filesystem arbitrates
   racing writers atomically: exactly one wins, even across processes.
@@ -55,6 +57,8 @@ import time
 import uuid
 from typing import Dict, Iterator, Optional, Tuple
 
+from ..durable import _chaos, atomic_write_bytes, atomic_write_json, fsync_dir
+
 __all__ = [
     "RESULT_KEY_ENV",
     "GC_MAX_BYTES_ENV",
@@ -79,65 +83,9 @@ GC_MAX_AGE_ENV = "REPRO_SERVE_GC_MAX_AGE"
 _ORPHAN_GRACE = 60.0
 
 
-def _fsync_dir(path: str) -> None:
-    """Flush a directory's entry table (rename/link durability)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fs without dir fsync
-        pass
-    finally:
-        os.close(fd)
-
-
-def atomic_write_bytes(path: str, data: bytes, fsync: bool = True) -> None:
-    """Write ``data`` to ``path`` via tmp-file + fsync + ``os.replace``.
-
-    The temp file is flushed to disk *before* the rename and the
-    directory entry after it, so a power loss leaves either the old
-    file or the complete new one — never a zero-length or torn file
-    under the final name.
-    """
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=d)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            if fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        if fsync:
-            _fsync_dir(d)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def atomic_write_json(path: str, obj, fsync: bool = True) -> None:
-    atomic_write_bytes(
-        path, json.dumps(obj, indent=1, default=repr).encode("utf-8"), fsync=fsync
-    )
-
-
 def _mac_key() -> Optional[bytes]:
     raw = os.environ.get(RESULT_KEY_ENV) or os.environ.get(_FALLBACK_KEY_ENV) or ""
     return raw.encode("utf-8") if raw else None
-
-
-def _chaos():
-    try:
-        from ..robust.faultinject import active_serve_chaos
-    except Exception:  # pragma: no cover - degenerate import environment
-        return None
-    return active_serve_chaos()
 
 
 class ResultStore:
@@ -245,7 +193,7 @@ class ResultStore:
                 os.link(tmp, pkl_path)
             except FileExistsError:
                 return False  # concurrent writer won; identical payload
-            _fsync_dir(d)
+            fsync_dir(d)
         finally:
             try:
                 os.unlink(tmp)

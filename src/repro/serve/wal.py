@@ -1,188 +1,24 @@
 """Write-ahead JSONL job log with torn-line recovery.
 
-The service's only durable record of job state is an append-only JSONL
-file: one event per line, every line carrying a truncated SHA-256
-checksum of its own payload.  The rules that make it crash-safe:
-
-* **append** is a single ``os.write`` on an ``O_APPEND`` descriptor —
-  concurrent writers (the service process and every worker process)
-  interleave whole lines, never bytes of the same line, for the short
-  records the service writes;
-* **torn-tail guard** — if the file does not end in a newline (a writer
-  was killed mid-``write`` or the disk filled), the next append starts
-  with its own newline, so one torn line can never corrupt the line
-  after it;
-* **replay** verifies each line's checksum and *skips* anything that
-  fails to parse or verify (torn final lines, zero-filled tails,
-  interleaved fragments).  Replay is conservative by construction: a
-  dropped event can only ever regress a job to an earlier state, and
-  the lease-recovery machinery re-runs it — at-least-once execution,
-  with the content-addressed result store providing the exactly-once
-  recorded result.
-
-Fault injection: an installed :class:`repro.robust.faultinject.ServeChaos`
-harness can make scheduled appends fail with ``ENOSPC`` (disk full) or
-write only half their line (a torn write), which is how the recovery
-rules above stay *tested* instead of merely written.
+The service's only durable record of job state: one event per line in
+a :class:`repro.durable.AppendLog` without a key (line format, torn-tail
+guard and replay rules there).  Replay *skips* torn or corrupt lines; a
+dropped event can only regress a job to an earlier state, and the
+lease-recovery machinery re-runs it — at-least-once execution, with the
+content-addressed result store giving the exactly-once recorded result.
+Events survive the death of any process and torn writes; they are not
+fsync'd, so a power loss can drop even an acknowledged submission.
 """
 
 from __future__ import annotations
 
-import errno
-import hashlib
-import json
-import os
-from typing import Dict, Iterator, List, Optional, Tuple
+from ..durable import AppendLog, decode_line, encode_record
+from ..durable import LogWriteError as WALError
 
 __all__ = ["WALError", "WriteAheadLog", "encode_record", "decode_line"]
 
 
-class WALError(OSError):
-    """The write-ahead log could not be appended to (disk full, perms).
-
-    Callers treat this as "the event was not durably recorded": worker
-    transitions carry on (the lease/reclaim machinery re-derives state),
-    submissions fail loudly.
-    """
-
-
-def _chaos():
-    try:
-        from ..robust.faultinject import active_serve_chaos
-    except Exception:  # pragma: no cover - degenerate import environment
-        return None
-    return active_serve_chaos()
-
-
-def _json_default(obj):
-    as_dict = getattr(obj, "as_dict", None)
-    if callable(as_dict):
-        return as_dict()
-    return repr(obj)
-
-
-def encode_record(record: Dict) -> str:
-    """Serialise one event, embedding its payload checksum as ``ck``."""
-    body = {k: v for k, v in record.items() if k != "ck"}
-    payload = json.dumps(
-        body, sort_keys=True, separators=(",", ":"), default=_json_default
-    )
-    body["ck"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-    return json.dumps(body, sort_keys=True, separators=(",", ":"), default=_json_default)
-
-
-def decode_line(line: str) -> Optional[Dict]:
-    """Parse + verify one WAL line; ``None`` for torn/corrupt lines."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        rec = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(rec, dict):
-        return None
-    ck = rec.pop("ck", None)
-    payload = json.dumps(rec, sort_keys=True, separators=(",", ":"), default=_json_default)
-    want = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-    if ck != want:
-        return None
-    return rec
-
-
-class WriteAheadLog:
-    """Append/replay interface over one JSONL log file."""
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        self._fd: Optional[int] = None
-        #: replay bookkeeping from the last full or incremental read
-        self.stats = {"lines": 0, "applied": 0, "skipped": 0}
-
-    # -- append --------------------------------------------------------
-
-    def _ensure_fd(self) -> int:
-        if self._fd is None:
-            # O_RDWR (not O_WRONLY): the torn-tail guard preads the
-            # final byte before appending
-            self._fd = os.open(
-                self.path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644
-            )
-        return self._fd
-
-    def append(self, record: Dict) -> Dict:
-        """Durably append one event; returns the record as written.
-
-        Raises :class:`WALError` when the write fails (or a chaos
-        harness injects a disk-full).  A chaos-injected *torn* write
-        persists only half the line — exactly what a crash mid-write
-        leaves behind — and still returns normally, modelling a writer
-        that died before fsync could tell it otherwise.
-        """
-        data = encode_record(record).encode("utf-8") + b"\n"
-        fault = None
-        chaos = _chaos()
-        if chaos is not None:
-            fault = chaos.wal_op("append")
-        if fault == "disk_full":
-            raise WALError(errno.ENOSPC, "injected disk-full on WAL append")
-        try:
-            fd = self._ensure_fd()
-            prefix = b""
-            size = os.fstat(fd).st_size
-            if size > 0 and os.pread(fd, 1, size - 1) != b"\n":
-                prefix = b"\n"  # torn-tail guard
-            if fault == "torn":
-                data = data[: max(1, len(data) // 2)]
-            os.write(fd, prefix + data)
-        except WALError:
-            raise
-        except OSError as exc:
-            raise WALError(exc.errno or errno.EIO, f"WAL append failed: {exc}") from exc
-        return record
-
-    def close(self) -> None:
-        if self._fd is not None:
-            try:
-                os.close(self._fd)
-            finally:
-                self._fd = None
-
-    # -- replay --------------------------------------------------------
-
-    def replay(self, offset: int = 0) -> Tuple[List[Dict], int]:
-        """Read events from ``offset``; returns ``(records, new_offset)``.
-
-        Only *complete* lines (terminated by a newline) are consumed —
-        a partial tail stays on disk for the next incremental read, and
-        if it turns out torn the torn-tail guard isolates it.  Skipped
-        (torn/corrupt) lines are counted in :attr:`stats`.
-        """
-        records: List[Dict] = []
-        try:
-            with open(self.path, "rb") as fh:
-                if offset:
-                    fh.seek(offset)
-                blob = fh.read()
-        except OSError:
-            return records, offset
-        end = blob.rfind(b"\n")
-        if end < 0:
-            return records, offset  # no complete line yet
-        consumed = blob[: end + 1]
-        new_offset = offset + len(consumed)
-        for raw in consumed.split(b"\n"):
-            if not raw.strip():
-                continue
-            self.stats["lines"] += 1
-            rec = decode_line(raw.decode("utf-8", "replace"))
-            if rec is None:
-                self.stats["skipped"] += 1
-                continue
-            self.stats["applied"] += 1
-            records.append(rec)
-        return records, new_offset
-
-    def __iter__(self) -> Iterator[Dict]:
-        records, _ = self.replay(0)
-        return iter(records)
+class WriteAheadLog(AppendLog):
+    """The job log: an :class:`~repro.durable.AppendLog` without a key,
+    in a class of its own so a profiler that wraps
+    ``WriteAheadLog.append`` times the job log, not sweep checkpoints."""

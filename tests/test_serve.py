@@ -32,8 +32,9 @@ from repro.serve import (
 )
 from repro.serve.queue import JobQueue
 from repro.serve.store import ResultStore
-from repro.serve.wal import decode_line, encode_record
 from repro.trace import Tracer, using
+
+from .test_durable import TornWriteCases
 
 RC = """rc lowpass
 V1 in 0 SIN(0 1 1e6)
@@ -107,79 +108,10 @@ class TestContentKey:
 # -- write-ahead log ----------------------------------------------------
 
 
-class TestWAL:
-    def test_append_replay_roundtrip(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.jsonl")
-        for i in range(5):
-            wal.append({"job": f"j{i}", "ev": "submitted"})
-        records, offset = wal.replay(0)
-        assert [r["job"] for r in records] == [f"j{i}" for i in range(5)]
-        assert offset == os.path.getsize(tmp_path / "w.jsonl")
+class TestWAL(TornWriteCases):
+    """The shared torn-write suite (tests/test_durable.py) on the job log."""
 
-    def test_incremental_replay(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.jsonl")
-        wal.append({"job": "a", "ev": "submitted"})
-        _, offset = wal.replay(0)
-        wal.append({"job": "b", "ev": "submitted"})
-        records, _ = wal.replay(offset)
-        assert [r["job"] for r in records] == ["b"]
-
-    def test_checksum_rejects_corruption(self):
-        line = encode_record({"job": "a", "ev": "done"})
-        assert decode_line(line)["job"] == "a"
-        assert decode_line(line.replace("done", "dead")) is None
-        assert decode_line(line[: len(line) // 2]) is None
-        assert decode_line("not json at all") is None
-
-    def test_torn_final_line_is_skipped(self, tmp_path):
-        path = tmp_path / "w.jsonl"
-        wal = WriteAheadLog(path)
-        for i in range(4):
-            wal.append({"job": f"j{i}", "ev": "submitted"})
-        removed = tear_final_line(path)
-        assert removed > 0
-        # the torn tail has no newline: replay leaves it pending
-        records, _ = WriteAheadLog(path).replay(0)
-        assert [r["job"] for r in records] == ["j0", "j1", "j2"]
-
-    def test_torn_tail_guard_isolates_next_append(self, tmp_path):
-        path = tmp_path / "w.jsonl"
-        wal = WriteAheadLog(path)
-        wal.append({"job": "a", "ev": "submitted"})
-        wal.append({"job": "b", "ev": "submitted"})
-        tear_final_line(path)
-        wal2 = WriteAheadLog(path)
-        wal2.append({"job": "c", "ev": "submitted"})
-        records, _ = wal2.replay(0)
-        # b's torn half is skipped; a and c survive intact
-        assert [r["job"] for r in records] == ["a", "c"]
-        assert wal2.stats["skipped"] == 1
-
-    def test_injected_disk_full_raises_walerror(self, tmp_path):
-        chaos = ServeChaos(
-            state_dir=tmp_path / "chaos",
-            wal_faults={"append": ChaosSpec(kind="disk_full", times=1)},
-        )
-        wal = WriteAheadLog(tmp_path / "w.jsonl")
-        with chaos_serve(chaos):
-            with pytest.raises(WALError):
-                wal.append({"job": "a", "ev": "submitted"})
-            wal.append({"job": "b", "ev": "submitted"})  # schedule spent
-        records, _ = wal.replay(0)
-        assert [r["job"] for r in records] == ["b"]
-
-    def test_injected_torn_write_recovers_on_replay(self, tmp_path):
-        chaos = ServeChaos(
-            state_dir=tmp_path / "chaos",
-            wal_faults={"append": ChaosSpec(kind="torn", times=1)},
-        )
-        wal = WriteAheadLog(tmp_path / "w.jsonl")
-        with chaos_serve(chaos):
-            wal.append({"job": "a", "ev": "submitted"})  # torn on disk
-            wal.append({"job": "b", "ev": "submitted"})
-        records, _ = wal.replay(0)
-        assert [r["job"] for r in records] == ["b"]
-        assert wal.stats["skipped"] == 1
+    make_log = staticmethod(WriteAheadLog)
 
 
 # -- result store -------------------------------------------------------

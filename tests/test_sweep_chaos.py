@@ -58,8 +58,10 @@ from repro.perf.sweep import (
 )
 from repro.robust import (
     ChaosSpec,
+    ServeChaos,
     SweepChaos,
     TransientFault,
+    chaos_serve,
     chaos_sweeps,
     tear_final_line,
 )
@@ -668,6 +670,39 @@ class TestCheckpoint:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_sweeps_close_the_checkpoint_fd(self, tmp_path):
+        """No descriptor on the checkpoint outlives its sweep (only fds
+        on the file are counted: other tests' pools may still be closing
+        theirs)."""
+        ck = str(tmp_path / "ck.jsonl")
+        for i in range(20):
+            sweep_map(_square, [i, i + 1], backend="serial", checkpoint=ck)
+        targets = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                targets.append(os.readlink(f"/proc/self/fd/{fd}"))
+            except OSError:
+                pass  # closed since the listing
+        assert targets.count(os.path.realpath(ck)) == 0
+
+    def test_disk_full_leaves_the_item_unsaved(self, tmp_path):
+        """An append the disk refuses costs the item its checkpoint
+        line, not its result."""
+        ck = str(tmp_path / "ck.jsonl")
+        chaos = ServeChaos(
+            state_dir=tmp_path / "chaos",
+            wal_faults={"append": ChaosSpec(kind="disk_full", times=1)},
+        )
+        stats = {}
+        with chaos_serve(chaos):
+            out = sweep_map(_square, [1, 2, 3], checkpoint=ck, stats=stats)
+        assert out == [1, 4, 9]
+        assert stats["checkpoint"]["saved"] == 2
+        stats = {}
+        sweep_map(_square, [1, 2, 3], checkpoint=ck, stats=stats)
+        assert stats["cached"] == 2
+
     def test_corrupt_checkpoint_lines_skipped(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
         sweep_map(_square, [1, 2, 3], checkpoint=str(ck))
@@ -1223,20 +1258,34 @@ class TestCheckpointCompaction:
         self, monkeypatch, tmp_path
     ):
         """Compacting under one function's sweep must not drop another
-        function's records from a shared checkpoint file."""
-        ck = tmp_path / "ck.jsonl"
-        sweep_map(_square, [1, 2, 3], checkpoint=str(ck))
-        sweep_map(_cube, [1, 2, 3], checkpoint=str(ck))
-        self._bloat(ck, 100)
-        monkeypatch.setenv(CHECKPOINT_COMPACT_ENV, "1024")
-        stats = {}
-        sweep_map(_square, [1, 2, 3], checkpoint=str(ck), stats=stats)
-        assert stats["cached"] == 3
-        assert "compacted" in stats["checkpoint"]
-        stats2 = {}
-        out = sweep_map(_cube, [1, 2, 3], checkpoint=str(ck), stats=stats2)
-        assert out == [1, 8, 27]
-        assert stats2["cached"] == 3  # cube records survived verbatim
+        function's records from a shared checkpoint file — also when the
+        two sweeps MAC their lines under different keys."""
+
+        def use_key(key):
+            if key is None:
+                monkeypatch.delenv(CHECKPOINT_KEY_ENV, raising=False)
+            else:
+                monkeypatch.setenv(CHECKPOINT_KEY_ENV, key)
+
+        for square_key, cube_key in ((None, None), ("key-b", "key-a")):
+            ck = tmp_path / f"ck-{square_key}.jsonl"
+            monkeypatch.delenv(CHECKPOINT_COMPACT_ENV, raising=False)
+            use_key(square_key)
+            sweep_map(_square, [1, 2, 3], checkpoint=str(ck))
+            use_key(cube_key)
+            sweep_map(_cube, [1, 2, 3], checkpoint=str(ck))
+            self._bloat(ck, 100)
+            monkeypatch.setenv(CHECKPOINT_COMPACT_ENV, "1024")
+            use_key(square_key)
+            stats = {}
+            sweep_map(_square, [1, 2, 3], checkpoint=str(ck), stats=stats)
+            assert stats["cached"] == 3
+            assert "compacted" in stats["checkpoint"]
+            use_key(cube_key)
+            stats2 = {}
+            out = sweep_map(_cube, [1, 2, 3], checkpoint=str(ck), stats=stats2)
+            assert out == [1, 8, 27]
+            assert stats2["cached"] == 3  # cube records survived verbatim
 
     def test_zero_disables_compaction(self, monkeypatch, tmp_path):
         ck = tmp_path / "ck.jsonl"
