@@ -91,7 +91,7 @@ def periodic_noise_analysis(
     """
     # imported here: repro.mpde imports repro.analysis.dc, so a module-level
     # import would be circular
-    from repro.mpde.mpde_core import _block_diag_sparse, _circulant_matrix
+    from repro.mpde.mpde_core import _BlockDiagPattern, _circulant_matrix
 
     system: MNASystem = solution.system
     grid = solution.grid
@@ -102,9 +102,9 @@ def periodic_noise_analysis(
 
     X = grid.columns(solution.x, n)  # (n, N) orbit samples
     g_vals, c_vals = system.batch_jacobians(X)
-    pattern = system.jacobian_pattern()
-    G_big = _block_diag_sparse(pattern, g_vals, n, N)
-    C_big = _block_diag_sparse(pattern, c_vals, n, N)
+    blocks = _BlockDiagPattern(system.jacobian_pattern(), n, N)
+    G_big = blocks.matrix(g_vals)
+    C_big = blocks.matrix(c_vals)
 
     lam = grid.axes[0].deriv_eigenvalues()
 

@@ -122,7 +122,9 @@ def _gmres_impl(tr, matvec, b, x0, tol, restart, maxiter, precond):
             return GMRESResult(x, True, total_iters, residuals)
 
         m = min(restart, maxiter - total_iters)
-        Q = np.zeros((n, m + 1), dtype=dtype)
+        # Krylov basis stored row-major: each vector is one contiguous
+        # row, and rows past the last one built are never touched
+        Q = np.empty((m + 1, n), dtype=dtype)
         H = np.zeros((m + 1, m), dtype=dtype)
         # Givens rotation coefficients and the rotated RHS of the
         # least-squares problem.
@@ -130,19 +132,19 @@ def _gmres_impl(tr, matvec, b, x0, tol, restart, maxiter, precond):
         sn = np.zeros(m, dtype=dtype)
         g = np.zeros(m + 1, dtype=dtype)
         g[0] = beta
-        Q[:, 0] = r / beta
+        Q[0] = r / beta
 
         k_used = 0
         for k in range(m):
             # force a copy: matvec may return its input (e.g. identity),
             # and the in-place orthogonalization below must not alias Q
-            w = np.array(matvec(precond(Q[:, k])), dtype=dtype)
+            w = np.array(matvec(precond(Q[k])), dtype=dtype)
             # Modified Gram-Schmidt with one re-orthogonalization pass.
             for j in range(k + 1):
-                H[j, k] = np.vdot(Q[:, j], w)
-                w -= H[j, k] * Q[:, j]
-            correction = Q[:, : k + 1].conj().T @ w
-            w -= Q[:, : k + 1] @ correction
+                H[j, k] = np.vdot(Q[j], w)
+                w -= H[j, k] * Q[j]
+            correction = Q[: k + 1].conj() @ w
+            w -= correction @ Q[: k + 1]
             H[: k + 1, k] += correction
             # Capture the subdiagonal norm *before* the Givens rotation
             # below zeroes H[k+1, k]: this is the quantity the happy-
@@ -152,7 +154,7 @@ def _gmres_impl(tr, matvec, b, x0, tol, restart, maxiter, precond):
             H[k + 1, k] = subdiag
 
             if subdiag > 1e-300:
-                Q[:, k + 1] = w / subdiag
+                Q[k + 1] = w / subdiag
 
             # Apply accumulated Givens rotations to the new column.
             for j in range(k):
@@ -192,7 +194,7 @@ def _gmres_impl(tr, matvec, b, x0, tol, restart, maxiter, precond):
         y = np.zeros(k_used, dtype=dtype)
         for i in range(k_used - 1, -1, -1):
             y[i] = (g[i] - H[i, i + 1 : k_used] @ y[i + 1 : k_used]) / H[i, i]
-        x = x + precond(Q[:, :k_used] @ y)
+        x = x + precond(y @ Q[:k_used])
 
         if tr.enabled:
             tr.event(

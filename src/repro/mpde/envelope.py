@@ -24,7 +24,12 @@ import scipy.sparse as sp
 from repro.analysis.dc import dc_analysis
 from repro.linalg import NewtonOptions, newton_solve
 from repro.mpde.grid import Axis, MPDEGrid
-from repro.mpde.mpde_core import MPDEOptions, _circulant_matrix, solve_mpde
+from repro.mpde.mpde_core import (
+    MPDEOptions,
+    _BlockDiagPattern,
+    _circulant_matrix,
+    solve_mpde,
+)
 from repro.netlist.mna import MNASystem
 
 __all__ = ["FastPeriodicSystem", "EnvelopeResult", "envelope_analysis"]
@@ -51,7 +56,7 @@ class FastPeriodicSystem:
         self.n = system.n
         self.ns = fast_axis.size
         self.N = self.n * self.ns
-        self.pattern = system.jacobian_pattern()
+        self.blocks = _BlockDiagPattern(system.jacobian_pattern(), self.n, self.ns)
         D2 = _circulant_matrix(fast_axis.deriv_eigenvalues())
         self.D2_big = sp.kron(D2, sp.identity(self.n)).tocsr()
 
@@ -72,12 +77,10 @@ class FastPeriodicSystem:
 
     def jacobians(self, Y: np.ndarray):
         """(CY, GY) sparse Jacobians of QY and FY."""
-        from repro.mpde.mpde_core import _block_diag_sparse
-
         cols = self.columns(Y)
         g_vals, c_vals = self.system.batch_jacobians(cols)
-        G_big = _block_diag_sparse(self.pattern, g_vals, self.n, self.ns)
-        C_big = _block_diag_sparse(self.pattern, c_vals, self.n, self.ns)
+        G_big = self.blocks.matrix(g_vals)
+        C_big = self.blocks.matrix(c_vals)
         return C_big, (G_big + self.D2_big @ C_big)
 
     def periodic_solution(self, tau: float, x_dc: Optional[np.ndarray] = None) -> np.ndarray:

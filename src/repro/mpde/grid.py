@@ -151,6 +151,7 @@ class MPDEGrid:
         self.shape = tuple(ax.size for ax in axes)
         self.total = int(np.prod(self.shape))
         self._eigs = [ax.deriv_eigenvalues() for ax in axes]
+        self._half_symbol = None
 
     # ------------------------------------------------------------------
     @property
@@ -185,11 +186,34 @@ class MPDEGrid:
             total = total + lam.reshape(shape)
         return total
 
+    def half_spectrum_symbol(self) -> np.ndarray:
+        """Derivative symbol on the ``rfftn`` half-spectrum, ``half + (1,)``.
+
+        The Hermitian part ``(lam(k) + conj(lam(-k))) / 2`` of the
+        combined eigenvalues, truncated to the bins ``rfftn`` keeps.  For
+        real samples ``Re ifftn(lam * fftn(Q))`` equals
+        ``irfftn(lam_h * rfftn(Q))``, so the half-spectrum transform
+        gives the full-spectrum operator at half the FFT work.  Cached:
+        the symbol depends on the grid alone.
+        """
+        if self._half_symbol is None:
+            lam = self.combined_eigenvalues()
+            mirrored = lam
+            for a in range(self.ndim):
+                mirrored = np.roll(np.flip(mirrored, axis=a), 1, axis=a)
+            herm = 0.5 * (lam + np.conj(mirrored))
+            self._half_symbol = herm[..., : self.shape[-1] // 2 + 1, None]
+        return self._half_symbol
+
+    def _apply_symbol(self, Q: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        axes = tuple(range(self.ndim))
+        spec = np.fft.rfftn(Q, axes=axes)
+        spec *= symbol
+        return np.fft.irfftn(spec, s=self.shape, axes=axes)
+
     def apply_derivative(self, Q: np.ndarray) -> np.ndarray:
-        """Apply d/dt1 + ... + d/dtd to grid samples (N1,...,Nd,n)."""
-        spec = np.fft.fftn(Q, axes=tuple(range(self.ndim)))
-        spec *= self.combined_eigenvalues()[..., None]
-        return np.real(np.fft.ifftn(spec, axes=tuple(range(self.ndim))))
+        """Apply d/dt1 + ... + d/dtd to real grid samples (N1,...,Nd,n)."""
+        return self._apply_symbol(Q, self.half_spectrum_symbol())
 
     def apply_derivative_adjoint(self, Q: np.ndarray) -> np.ndarray:
         """Apply the transpose of :meth:`apply_derivative`.
@@ -199,9 +223,7 @@ class MPDEGrid:
         eigenvalues (D real => D^T = D^H = F^-1 diag(conj(lam)) F).  Used
         by the adjoint HB/MPDE sensitivity path.
         """
-        spec = np.fft.fftn(Q, axes=tuple(range(self.ndim)))
-        spec *= np.conj(self.combined_eigenvalues())[..., None]
-        return np.real(np.fft.ifftn(spec, axes=tuple(range(self.ndim))))
+        return self._apply_symbol(Q, np.conj(self.half_spectrum_symbol()))
 
     def apply_axis_derivative(self, Q: np.ndarray, axis: int) -> np.ndarray:
         """Apply the derivative along a single axis only."""

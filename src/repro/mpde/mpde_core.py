@@ -193,15 +193,158 @@ class MPDESolution:
         return self.grid.interpolate_diagonal(self.grid_all(), np.asarray(t))
 
 
+class _BlockDiagPattern:
+    """Block-diagonal CSR structure over ``m`` samples, compiled once.
+
+    ``pattern`` is the per-sample COO ``(rows, cols)`` of
+    :meth:`~repro.netlist.mna.MNASystem.jacobian_pattern`, which repeats
+    ``(row, col)`` pairs (a linear stamp and a device block on the same
+    entry).  The compiled form keeps the canonical CSR ``indptr`` and
+    ``indices`` of the ``(n m, n m)`` block diagonal plus the map from
+    entries to slots, so :meth:`matrix` only fills ``data``.  Repeated
+    entries are summed in the order scipy's COO -> CSR conversion sums
+    them, so the matrix is bit-identical to that build.
+    """
+
+    def __init__(self, pattern, n: int, m: int):
+        rows, cols = (np.asarray(a, dtype=np.int64) for a in pattern)
+        self.n, self.m = n, m
+        # scipy sums a slot's entries in the order its CSR index sort
+        # leaves them (std::sort: stable up to 16 entries a row, not
+        # beyond).  The sort compares columns only, so sorting the entry
+        # numbers as data yields that order exactly.
+        by_row = np.argsort(rows, kind="stable")
+        probe = sp.csr_matrix(
+            (by_row.astype(float), cols[by_row], np.searchsorted(rows[by_row], np.arange(n + 1))),
+            shape=(n, n),
+        )
+        probe.sort_indices()
+        entry = probe.data.astype(np.int64)
+        key = rows[entry] * n + cols[entry]
+        start = np.flatnonzero(np.diff(key, prepend=-1))
+        self.keys = key[start]
+        nslot = start.size
+        slot = np.repeat(np.arange(nslot), np.diff(np.r_[start, key.size]))
+        rank = np.arange(key.size) - start[slot]
+        self._first = entry[start]
+        self._dups = [
+            (slot[rank == r], entry[rank == r]) for r in range(1, rank.max(initial=0) + 1)
+        ]
+        rows_u, cols_u = np.divmod(self.keys, n)
+        indptr = np.searchsorted(rows_u, np.arange(n + 1))
+        offs = np.arange(m)[:, None]
+        idx = np.int32 if max(n, nslot) * m < 2**31 else np.int64
+        self.indptr = np.append((indptr[:-1] + nslot * offs).ravel(), nslot * m).astype(idx)
+        self.indices = (cols_u + n * offs).ravel().astype(idx)
+        # shared by every matrix this pattern fills
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+
+    def fill(self, vals: np.ndarray) -> np.ndarray:
+        """Slot values from entry values: ``(nnz, ...)`` -> ``(nslot, ...)``."""
+        data = vals[self._first]
+        for slots, entries in self._dups:
+            data[slots] += vals[entries]
+        return data
+
+    def matrix(self, vals: np.ndarray) -> sp.csr_matrix:
+        """Block diagonal from per-sample entry values ``(nnz, m)``."""
+        N = self.n * self.m
+        M = sp.csr_matrix((self.fill(vals).T.ravel(), self.indices, self.indptr), shape=(N, N))
+        M.has_canonical_format = True
+        return M
+
+    def dense(self, vals: np.ndarray) -> np.ndarray:
+        """One dense ``(n, n)`` block from entry values ``(nnz,)``."""
+        out = np.zeros(self.n * self.n, dtype=vals.dtype)
+        out[self.keys] = self.fill(vals)
+        return out.reshape(self.n, self.n)
+
+
 def _block_diag_sparse(pattern, vals, n, m) -> sp.csr_matrix:
     """Assemble blockdiag over samples from per-sample COO values."""
-    rows_p, cols_p = pattern
-    nnz = rows_p.size
-    offs = (np.arange(m) * n)[:, None]
-    rows = (rows_p[None, :] + offs).ravel()
-    cols = (cols_p[None, :] + offs).ravel()
-    data = vals.T.ravel()  # (m, nnz) -> row-major matches offs layout
-    return sp.csr_matrix((data, (rows, cols)), shape=(n * m, n * m))
+    return _BlockDiagPattern(pattern, n, m).matrix(vals)
+
+
+#: Largest probe reading ``max_k ||A_k y_k - z_k|| / ||z_k||`` at which
+#: the pencil form of the averaged-circuit preconditioner is used; above
+#: it the build falls back to the stacked inverse.  The reading is a
+#: relative residual, so it grows with the conditioning of the blocks as
+#: well as with that of the eigenbasis ``V``: ~2e-15 on the Figure 1
+#: modulator, a few 1e-14 on other well-conditioned pencils, 1e-12 to
+#: 1e-10 once ``cond(G_avg)`` reaches 1e3 to 1e6, and 4e-8 at 1e8 (where
+#: the pencil's output drifts 8e-10 from per-block LU).  1e-11 lies a
+#: decade from the nearest of these readings on either side.
+PENCIL_PROBE_TOL = 1e-11
+
+
+class _AveragedPreconditioner:
+    """``F^-1 diag(A_k^-1) F`` over the ``rfftn`` half-spectrum.
+
+    ``solve_half`` maps the half-spectrum rows ``(m_half, n)`` to the
+    block solves; ``path`` names how it was built (``"pencil"`` or
+    ``"stacked"``) and ``backward_error`` is the pencil probe's reading
+    (None when the pencil was not tried).
+    """
+
+    def __init__(self, grid, n, solve_half, path, backward_error=None):
+        self.grid, self.n = grid, n
+        self.solve_half = solve_half
+        self.path = path
+        self.backward_error = backward_error
+        self._axes = tuple(range(grid.ndim))
+        self._half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1, n)
+
+    def __call__(self, v):
+        V = self.grid.reshape(np.asarray(v, dtype=float), self.n)
+        spec = np.fft.rfftn(V, axes=self._axes).reshape(-1, self.n)
+        spec = self.solve_half(spec).reshape(self._half)
+        return np.fft.irfftn(spec, s=self.grid.shape, axes=self._axes).reshape(-1)
+
+
+def _pencil_solver(G_avg, C_avg, lam, adjoint, probe):
+    """Half-spectrum block solves from one eigendecomposition.
+
+    Every block is ``A_k = lam_k C_avg + G_avg = G_avg (I + lam_k M)``
+    with ``M = G_avg^-1 C_avg = V diag(mu) V^-1``, so
+    ``A_k^-1 = V diag(1 / (1 + lam_k mu)) V^-1 G_avg^-1``: two
+    ``(m_half, n) x (n, n)`` GEMMs around an elementwise scale, for any
+    number of frequencies.  Returns ``(solve_half, backward_error)``;
+    ``solve_half`` is None when ``G_avg`` or ``V`` cannot be inverted
+    or the probe reads above :data:`PENCIL_PROBE_TOL`.  Raises
+    :class:`numpy.linalg.LinAlgError` when some ``1 + lam_k mu_j`` is
+    zero, i.e. a block is singular.
+    """
+    try:
+        G_inv = np.linalg.inv(G_avg)
+        mu, V = np.linalg.eig(G_inv @ C_avg)
+        W = np.linalg.solve(V, G_inv)
+    except np.linalg.LinAlgError:
+        return None, None
+    denom = 1.0 + lam[:, None] * mu
+    if not np.all(denom):
+        raise np.linalg.LinAlgError("singular averaged-circuit block")
+    scale = 1.0 / denom
+    if adjoint:
+        # A_k^-H = W^H diag(conj(scale_k)) V^H, applied to rows
+        left, scale, right = V.conj(), scale.conj(), W.conj()
+        lam_op, C_op, G_op = np.conj(lam), C_avg, G_avg
+    else:
+        left, right = W.T, V.T
+        lam_op, C_op, G_op = lam, C_avg.T, G_avg.T
+
+    def solve_half(Z):
+        return ((Z @ left) * scale) @ right
+
+    # a-posteriori check of every block on one fixed probe: the rows of
+    # A_k y_k are lam_k y_k C^T + y_k G^T (conjugated lam, untransposed
+    # C and G for the adjoint)
+    y = solve_half(probe)
+    resid = lam_op[:, None] * (y @ C_op) + y @ G_op - probe
+    err = float(np.max(np.linalg.norm(resid, axis=1) / np.linalg.norm(probe, axis=1)))
+    if not err <= PENCIL_PROBE_TOL:
+        return None, err
+    return solve_half, err
 
 
 def _circulant_matrix(eigs: np.ndarray, drop_tol: float = 1e-12) -> sp.csr_matrix:
@@ -237,6 +380,7 @@ class _MPDEProblem:
         self.n = system.n
         self.m = grid.total
         self.pattern = system.jacobian_pattern()
+        self.blocks = _BlockDiagPattern(self.pattern, self.n, self.m)
         self.fd_blocks = list(fd_blocks or [])
         if self.fd_blocks and any(ax.kind != "fourier" for ax in grid.axes):
             raise ValueError(
@@ -254,6 +398,8 @@ class _MPDEProblem:
             neg = (self.omega_grid.ravel() < 0)
             Y[neg] = np.conj(Y[neg])
             self._fd_Y.append(Y)
+        # fixed probe of the pencil preconditioner's backward error
+        self._probe = None
 
     # -- fd-block application (linear, spectral-domain) -------------------
     def fd_contribution(self, x_flat: np.ndarray) -> np.ndarray:
@@ -287,9 +433,7 @@ class _MPDEProblem:
     def batch_matrices(self, x_flat: np.ndarray):
         cols = self.grid.columns(x_flat, self.n)
         g_vals, c_vals = self.system.batch_jacobians(cols)
-        G_big = _block_diag_sparse(self.pattern, g_vals, self.n, self.m)
-        C_big = _block_diag_sparse(self.pattern, c_vals, self.n, self.m)
-        return G_big, C_big, g_vals, c_vals
+        return self.blocks.matrix(g_vals), self.blocks.matrix(c_vals), g_vals, c_vals
 
     def direct_jacobian(self, G_big, C_big) -> sp.csc_matrix:
         mats = [_circulant_matrix(ax.deriv_eigenvalues()) for ax in self.grid.axes]
@@ -326,33 +470,48 @@ class _MPDEProblem:
         ``A_k^-H`` instead, which preconditions the transposed system of
         the HB adjoint.  ``C_avg``/``G_avg`` are real and ``lambda`` and
         ``Y`` are conjugate-symmetric, so ``A_-k = conj(A_k)`` and only
-        the ``rfftn`` half-spectrum is inverted, as one stacked inverse.
+        the ``rfftn`` half-spectrum is solved.  Without fd-blocks the
+        blocks share one pencil and are applied through its
+        eigendecomposition (:func:`_pencil_solver`); with fd-blocks, or
+        when that fails its probe, they are inverted as one stack.
         Raises :class:`numpy.linalg.LinAlgError` on a singular block.
         """
-        rows_p, cols_p = self.pattern
         n, shape = self.n, self.grid.shape
-        G_avg = sp.csr_matrix((g_vals.mean(axis=1), (rows_p, cols_p)), shape=(n, n)).toarray()
-        C_avg = sp.csr_matrix((c_vals.mean(axis=1), (rows_p, cols_p)), shape=(n, n)).toarray()
+        G_avg = self.blocks.dense(g_vals.mean(axis=1))
+        C_avg = self.blocks.dense(c_vals.mean(axis=1))
         half = shape[:-1] + (shape[-1] // 2 + 1,)
         lam = self.grid.combined_eigenvalues()[..., : half[-1]].reshape(-1)
-        A = lam[:, None, None] * C_avg + G_avg
-        for blk, Y in zip(self.fd_blocks, self._fd_Y):
-            p = blk.ports.size
-            Y_half = Y.reshape(shape + (p, p))[..., : half[-1], :, :].reshape(-1, p, p)
-            # add.at, not +=: a port listed twice accumulates its entries
-            np.add.at(A, (slice(None), blk.ports[:, None], blk.ports[None, :]), Y_half)
-        inv = np.linalg.inv(A)
-        if adjoint:
-            inv = inv.conj().swapaxes(1, 2)
-        axes = tuple(range(self.grid.ndim))
+        solve_half, err = None, None
+        if not self.fd_blocks:
+            if self._probe is None:
+                rng = np.random.default_rng(0)
+                self._probe = rng.standard_normal((lam.size, n)) + 1j * rng.standard_normal(
+                    (lam.size, n)
+                )
+            solve_half, err = _pencil_solver(G_avg, C_avg, lam, adjoint, self._probe)
+        path = "pencil"
+        if solve_half is None:
+            path = "stacked"
+            A = lam[:, None, None] * C_avg + G_avg
+            for blk, Y in zip(self.fd_blocks, self._fd_Y):
+                p = blk.ports.size
+                Y_half = Y.reshape(shape + (p, p))[..., : half[-1], :, :].reshape(-1, p, p)
+                # add.at, not +=: a port listed twice accumulates its entries
+                np.add.at(A, (slice(None), blk.ports[:, None], blk.ports[None, :]), Y_half)
+            inv = np.linalg.inv(A)
+            if adjoint:
+                inv = inv.conj().swapaxes(1, 2)
 
-        def apply(v):
-            V = self.grid.reshape(np.asarray(v, dtype=float), n)
-            spec = np.fft.rfftn(V, axes=axes)
-            spec = np.matmul(inv, spec.reshape(-1, n, 1)).reshape(half + (n,))
-            return np.fft.irfftn(spec, s=shape, axes=axes).reshape(-1)
+            def solve_half(Z):
+                return np.matmul(inv, Z[..., None])[..., 0]
 
-        return apply
+        tr = get_tracer()
+        if tr.enabled:
+            tr.event(
+                "mpde.precond_build", m=self.m, n=n, path=path, backward_error=err,
+                adjoint=bool(adjoint),
+            )
+        return _AveragedPreconditioner(self.grid, n, solve_half, path, err)
 
 
 def _coarsen_grid(grid: MPDEGrid, floor: int) -> Optional[MPDEGrid]:
@@ -507,9 +666,8 @@ def solve_mpde(
                 else:
                     # matrix-free GMRES: the operator must be exact at
                     # the current iterate, so the batch Jacobians are
-                    # always rebuilt — the reusable (and expensive) part
-                    # is the averaged-circuit preconditioner, a stacked
-                    # dense inverse over the retained frequencies
+                    # always rebuilt — the reusable part is the
+                    # averaged-circuit preconditioner
                     G_big, C_big, g_vals, c_vals = prob.batch_matrices(x_it)
                     perf.jacobian_evals += 1
                     mv = prob.matvec(G_big, C_big)
@@ -525,8 +683,6 @@ def solve_mpde(
                         perf.jacobian_evals_saved += 1
                     else:
                         pc = prob.averaged_preconditioner(g_vals, c_vals)
-                        if tr.enabled:
-                            tr.event("mpde.precond_build", m=prob.m, n=prob.n)
                         if reuse_on:
                             reuse["pc"] = pc
                             reuse["pc_age"] = 0

@@ -26,6 +26,7 @@ Diagnostic codes are stable; DESIGN.md documents the full table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -449,6 +450,15 @@ def _active_source_freqs(system) -> Tuple[float, ...]:
     return tuple(sorted(freqs))
 
 
+@functools.lru_cache(maxsize=8)
+def _tone_combinations(d: int, kmax: int) -> np.ndarray:
+    """Every nonzero integer vector in ``[-kmax, kmax]^d``, one per row."""
+    grid = np.array(list(itertools.product(range(-kmax, kmax + 1), repeat=d)), dtype=float)
+    combos = grid[np.any(grid != 0, axis=1)]
+    combos.flags.writeable = False  # shared by every caller through the cache
+    return combos
+
+
 def _tone_covers(target: float, freqs: Sequence[float], kmax: int = 8) -> bool:
     """Is ``target`` an integer combination sum(k_i f_i), |k_i| <= kmax?"""
     freqs = [f for f in freqs if f > 0]
@@ -458,13 +468,13 @@ def _tone_covers(target: float, freqs: Sequence[float], kmax: int = 8) -> bool:
         return any(
             abs(target - k * f) <= 1e-6 * target for f in freqs for k in range(1, kmax + 1)
         )
-    for combo in itertools.product(range(-kmax, kmax + 1), repeat=len(freqs)):
-        if all(k == 0 for k in combo):
-            continue
-        mix = sum(k * f for k, f in zip(combo, freqs))
-        if abs(target - abs(mix)) <= 1e-6 * target:
-            return True
-    return False
+    combos = _tone_combinations(len(freqs), kmax)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # summed tone by tone, left to right, as sum(k_i * f_i) would
+        mix = combos[:, 0] * freqs[0]
+        for i in range(1, len(freqs)):
+            mix = mix + combos[:, i] * freqs[i]
+        return bool(np.any(np.abs(target - np.abs(mix)) <= 1e-6 * target))
 
 
 def lint_analysis(

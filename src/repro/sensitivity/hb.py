@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from repro.mpde.mpde_core import MPDEOptions, _block_diag_sparse, _MPDEProblem
+from repro.mpde.mpde_core import MPDEOptions, _MPDEProblem
 from repro.netlist.mna import MNASystem
 from repro.robust import robust_gmres
 from repro.sensitivity.assemble import dbdp_grid, param_residual_derivs
@@ -83,9 +83,7 @@ def hb_sensitivity(
 
     prob = _MPDEProblem(system, grid, None, MPDEOptions())
     cols = grid.columns(x, n)
-    g_vals, c_vals = system.batch_jacobians(cols)
-    G_big = _block_diag_sparse(prob.pattern, g_vals, n, m)
-    C_big = _block_diag_sparse(prob.pattern, c_vals, n, m)
+    G_big, C_big, g_vals, c_vals = prob.batch_matrices(x)
 
     # ∂R/∂p columns, flat sample-major like the state itself
     rhs = np.empty((n * m, len(ps)))

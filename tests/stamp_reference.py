@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from repro.netlist.mna import MNASystem
 
-__all__ = ["ReferenceMNASystem"]
+__all__ = ["ReferenceMNASystem", "assert_block_pattern_matches_coo", "coo_block_diag"]
 
 
 class ReferenceMNASystem(MNASystem):
@@ -128,3 +128,32 @@ class ReferenceMNASystem(MNASystem):
                     c_vals[pos] = dq[a, bb]
                     pos += 1
         return g_vals, c_vals
+
+
+def coo_block_diag(pattern, vals, n, m) -> sp.csr_matrix:
+    """Block diagonal over ``m`` samples built through scipy's COO -> CSR
+    conversion, which sums repeated ``(row, col)`` entries: the reference
+    for the compiled block pattern of :mod:`repro.mpde.mpde_core`."""
+    rows_p, cols_p = pattern
+    offs = (np.arange(m) * n)[:, None]
+    rows = (rows_p[None, :] + offs).ravel()
+    cols = (cols_p[None, :] + offs).ravel()
+    return sp.csr_matrix((vals.T.ravel(), (rows, cols)), shape=(n * m, n * m))
+
+
+def assert_block_pattern_matches_coo(system, m, rng):
+    """The compiled block pattern against :func:`coo_block_diag`, exactly:
+    same canonical structure, same sums over repeated entries."""
+    from repro.mpde.mpde_core import _BlockDiagPattern
+
+    pattern = system.jacobian_pattern()
+    blocks = _BlockDiagPattern(pattern, system.n, m)
+    X = rng.normal(scale=0.5, size=(system.n, m))
+    for vals in system.batch_jacobians(X):
+        got, want = blocks.matrix(vals), coo_block_diag(pattern, vals, system.n, m)
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+        assert got.shape == want.shape
+        ref = coo_block_diag(pattern, vals[:, :1], system.n, 1).toarray()
+        np.testing.assert_array_equal(blocks.dense(vals[:, 0]), ref)

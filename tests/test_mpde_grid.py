@@ -7,6 +7,9 @@ from hypothesis import given, strategies as st
 from repro.mpde import Axis, MPDEGrid, decompose_waveform
 from repro.netlist import Circuit, DC, MultiTone, Sine, SquareWave
 
+from .stamp_reference import assert_block_pattern_matches_coo
+from .test_mpde_methods import _pc_host
+
 
 class TestAxis:
     def test_times_uniform(self):
@@ -176,6 +179,48 @@ class TestGrid:
         np.testing.assert_allclose(dX, 0.0, atol=1e-12)
 
 
+class TestHalfSpectrumDerivative:
+    """``apply_derivative`` and its adjoint transform only the ``rfftn``
+    half-spectrum; they must equal the full-spectrum form written here,
+    ``Re ifftn(lam * fftn(Q))``, to rounding (1e-14 relative)."""
+
+    @staticmethod
+    def _full_spectrum(grid, Q, adjoint):
+        axes = tuple(range(grid.ndim))
+        lam = grid.combined_eigenvalues()
+        lam = np.conj(lam) if adjoint else lam
+        return np.real(np.fft.ifftn(np.fft.fftn(Q, axes=axes) * lam[..., None], axes=axes))
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            [("fourier", 1e6, 16)],
+            [("fourier", 1e6, 15)],
+            [("fd", 1e6, 12)],
+            [("fd", 1e6, 9)],
+            [("fd2", 1e6, 10)],
+            [("fd2", 1e6, 11)],
+            [("fourier", 1e6, 6), ("fourier", 1.3e6, 9)],
+            [("fourier", 1e6, 7), ("fourier", 1.3e6, 8)],
+            [("fourier", 1e5, 5), ("fd", 1e6, 10)],
+            [("fd", 1e5, 7), ("fd2", 1e6, 8)],
+            [("fd2", 1e5, 8), ("fourier", 1e6, 7)],
+            [("fourier", 1e5, 4), ("fd", 1e6, 6), ("fd2", 2e6, 5)],
+        ],
+        ids=lambda axes: "x".join(f"{k}{n}" for k, _, n in axes),
+    )
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+    def test_matches_full_spectrum(self, axes, adjoint):
+        grid = MPDEGrid([Axis(kind, f, size) for kind, f, size in axes])
+        rng = np.random.default_rng(grid.total)
+        apply = grid.apply_derivative_adjoint if adjoint else grid.apply_derivative
+        for n in (1, 3):
+            Q = rng.standard_normal(grid.shape + (n,))
+            got, want = apply(Q), self._full_spectrum(grid, Q, adjoint)
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
 class TestComboMatching:
     def test_am_sidebands_on_two_tone_grid(self):
         """AM sidebands (fc +- fm) land as 2-D mix tones, not aliased
@@ -207,7 +252,41 @@ class TestComboMatching:
             grid.excitation(sys)
 
 
+def _modulator():
+    from repro.rf import ModulatorSpec, quadrature_modulator
+
+    return quadrature_modulator(ModulatorSpec())
+
+
+def _diode_ladder(stages=12):
+    ckt = Circuit("diode ladder")
+    ckt.vsource("V1", "n0", "0", Sine(0.8, 50e6))
+    ckt.vsource("Vb", "vb", "0", 0.3)
+    for k in range(stages):
+        ckt.resistor(f"R{k}", f"n{k}", f"n{k+1}", 150.0)
+        ckt.diode(f"D{k}", f"n{k+1}", "0", isat=1e-13)
+        ckt.resistor(f"Rb{k}", "vb", f"n{k+1}", 5e3)
+        ckt.capacitor(f"C{k}", f"n{k+1}", "0", 3e-12)
+    return ckt.compile()
+
+
 class TestCoreHelpers:
+    @pytest.mark.parametrize(
+        "make", [_modulator, _pc_host, _diode_ladder], ids=["modulator", "pc_host", "ladder"]
+    )
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_block_pattern_matches_coo_build(self, make, m):
+        system = make()
+        rows, cols = system.jacobian_pattern()
+        # these patterns repeat (row, col) pairs, so the slot sums matter
+        assert np.unique(rows * system.n + cols).size < rows.size
+        assert_block_pattern_matches_coo(system, m, np.random.default_rng(m))
+
+    def test_modulator_pattern_repeats_entries(self):
+        system = _modulator()
+        rows, cols = system.jacobian_pattern()
+        assert (rows.size, np.unique(rows * system.n + cols).size) == (102, 68)
+
     def test_block_diag_assembly(self):
         from repro.mpde.mpde_core import _block_diag_sparse
 

@@ -11,7 +11,7 @@ from repro.mpde import Axis, MPDEGrid
 from repro.netlist import Circuit, Sine
 from repro.rom import DescriptorSystem, arnoldi, pvl
 
-from .stamp_reference import ReferenceMNASystem
+from .stamp_reference import ReferenceMNASystem, assert_block_pattern_matches_coo
 
 pos_r = st.floats(min_value=1.0, max_value=1e6)
 pos_c = st.floats(min_value=1e-15, max_value=1e-6)
@@ -395,6 +395,17 @@ class TestVectorizedStamping:
         gs, cs = sys_ref.batch_jacobians(X)
         np.testing.assert_array_equal(gv, gs)
         np.testing.assert_array_equal(cv, cs)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_devices=st.integers(min_value=2, max_value=14),
+        m=st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_block_pattern_matches_coo_build(self, seed, n_devices, m):
+        rng = np.random.default_rng(seed)
+        system = self._random_circuit(rng, n_devices).compile()
+        assert_block_pattern_matches_coo(system, m, rng)
 
     def test_stamp_mode_env_and_validation(self, monkeypatch):
         # one evaluator: the stamping-mode switch is gone, so the old

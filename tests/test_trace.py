@@ -234,6 +234,34 @@ class TestEquivalence:
         trace = traced.report.perf["trace"]
         assert trace["events"]["mpde.newton"] > 0
 
+    def test_precond_build_names_its_path(self, tmp_path):
+        """Every averaged-preconditioner build, in the HB solve and in the
+        HB sensitivities, says which path ran and what its probe read."""
+        from repro.hb import harmonic_balance
+        from repro.mpde import MPDEOptions
+        from repro.mpde.mpde_core import PENCIL_PROBE_TOL
+        from repro.sensitivity import HarmonicAmplitude, hb_sensitivity
+
+        sys_ = detector_system()
+        path = tmp_path / "pc.jsonl"
+        with using(str(path)):
+            sol = harmonic_balance(
+                sys_, freqs=[1e6], harmonics=8, options=MPDEOptions(solver="gmres")
+            )
+            for method in ("direct", "adjoint"):
+                hb_sensitivity(
+                    sys_, sol, ["R1.resistance"], HarmonicAmplitude("out", (1,)),
+                    method=method, solver="gmres",
+                )
+        builds = [
+            r["attrs"] for r in load_trace(str(path))
+            if r["type"] == "event" and r["name"] == "mpde.precond_build"
+        ]
+        assert [b["adjoint"] for b in builds[-2:]] == [False, True]
+        for b in builds:
+            assert b["path"] == "pencil"
+            assert 0.0 <= b["backward_error"] <= PENCIL_PROBE_TOL
+
     def test_ac_sweep_bit_identical_with_workers(self, tmp_path):
         from repro.analysis import ac_analysis
 

@@ -9,6 +9,7 @@ paths must escalate through their recovery ladders when the fault
 harness corrupts their operators.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.robust import (
     robust_direct_solve,
 )
 from repro.robust.validate import (
+    _tone_covers,
     lint_analysis,
     lint_circuit,
     lint_fd_grid,
@@ -226,6 +228,54 @@ def test_hb_zero_amplitude_probe_is_not_a_mismatch():
     sys_ = ckt.compile()
     rep = lint_analysis(sys_, "hb", freqs=[1e6])
     assert not rep.has("AN_TONE_MISMATCH")
+
+
+def _tone_covers_loop(target, freqs, kmax=8):
+    """The tone-coverage search written as the plain loop over every
+    combination, summing ``k_i * f_i`` left to right: the reference the
+    vectorized lint must agree with on every answer."""
+    freqs = [f for f in freqs if f > 0]
+    if not freqs:
+        return False
+    if len(freqs) > 3:
+        return any(
+            abs(target - k * f) <= 1e-6 * target for f in freqs for k in range(1, kmax + 1)
+        )
+    for combo in itertools.product(range(-kmax, kmax + 1), repeat=len(freqs)):
+        if all(k == 0 for k in combo):
+            continue
+        mix = sum(k * f for k, f in zip(combo, freqs))
+        if abs(target - abs(mix)) <= 1e-6 * target:
+            return True
+    return False
+
+
+def test_tone_covers_matches_reference_loop():
+    """Random 1-3 tone sets, with targets on a mix product, off every
+    mix product, and within a few ulps of the 1e-6 relative tolerance on
+    either side of it."""
+    rng = np.random.default_rng(2024)
+    answers = []
+    for _ in range(60):
+        d = int(rng.integers(1, 4))
+        freqs = list(10.0 ** rng.uniform(3, 9, size=d))
+        if d > 1 and rng.random() < 0.5:  # near-commensurate tones
+            freqs[1] = freqs[0] * int(rng.integers(2, 9)) + float(rng.uniform(-1, 1))
+        k = rng.integers(-8, 9, size=d)
+        if not k.any():
+            k[0] = 1
+        mix = abs(sum(int(ki) * f for ki, f in zip(k, freqs)))
+        targets = [mix, float(rng.uniform(0.5, 2.0)) * max(freqs), 9.5 * freqs[0]]
+        for side in (-1.0, 1.0):
+            edge = mix / (1.0 - side * 1e-6)  # |target - mix| == 1e-6 target
+            targets += [np.nextafter(edge, edge + step) for step in (-np.inf, 0.0, np.inf)]
+            targets += [edge * (1.0 + 4e-16 * j) for j in (-2, 2)]
+        for target in targets:
+            want = _tone_covers_loop(target, freqs)
+            assert _tone_covers(target, freqs) is want, (target, freqs)
+            answers.append(want)
+    # both outcomes occur, edges included
+    assert 0.2 < np.mean(answers) < 0.9
 
 
 def test_shooting_nonpositive_period():
