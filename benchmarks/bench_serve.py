@@ -21,7 +21,7 @@ import shutil
 import tempfile
 import time
 
-from repro.robust import ChaosSpec, ServeChaos, chaos_serve, tear_final_line
+from repro.robust import Chaos, ChaosSpec, chaos_scope, tear_final_line
 from repro.serve import open_service, run_job, JobSpec
 from repro.trace import Tracer, using
 
@@ -116,11 +116,11 @@ def test_bench_serve():
         crashy = nets[0].replace("bench lowpass", "bench lowpass crash-me")
         cj = svc.submit(crashy, "dc", label="crashy")
         jobs = [svc.submit(net, "dc") for net in nets[1:]]
-        chaos = ServeChaos(
-            {"crash-me": ChaosSpec(kind="crash", times=1)}, state
+        chaos = Chaos(
+            state, jobs={"crash-me": ChaosSpec(kind="crash", times=1)}
         )
         t0 = time.perf_counter()
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             procs = svc.spawn_workers(2, max_seconds=60)
             drained = svc.wait(timeout=60)
             for p in procs:

@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from repro.perf import sweep_map
-from repro.robust import ChaosSpec, SweepChaos, TransientFault, chaos_sweeps
+from repro.robust import Chaos, ChaosSpec, TransientFault, chaos_scope
 
 from conftest import report, write_bench_json
 
@@ -91,12 +91,12 @@ def test_bench_sweep_resilience():
     state = tempfile.mkdtemp(prefix="bench-chaos-")
     try:
         faults = {i: ChaosSpec(kind="error") for i in range(0, N_ITEMS, 8)}
-        chaos = SweepChaos(faults, state)
+        chaos = Chaos(state, items=faults)
         stats = {}
 
         def run_faulty():
             chaos.reset()
-            with chaos_sweeps(chaos):
+            with chaos_scope(chaos):
                 return sweep_map(
                     _solve_point,
                     items,
@@ -125,14 +125,14 @@ def test_bench_sweep_resilience():
         )
 
         # -- one worker crash mid-sweep vs full re-run -------------------
-        crash_chaos = SweepChaos(
-            {N_ITEMS // 2: ChaosSpec(kind="crash")}, os.path.join(state, "crash")
+        crash_chaos = Chaos(
+            os.path.join(state, "crash"), items={N_ITEMS // 2: ChaosSpec(kind="crash")}
         )
         crash_stats = {}
 
         def run_crashy():
             crash_chaos.reset()
-            with chaos_sweeps(crash_chaos):
+            with chaos_scope(crash_chaos):
                 return sweep_map(
                     _solve_point,
                     items,
@@ -156,11 +156,11 @@ def test_bench_sweep_resilience():
 
         # -- checkpoint resume vs recompute ------------------------------
         ck = os.path.join(state, "sweep.jsonl")
-        half_chaos = SweepChaos(
-            {N_ITEMS // 2: ChaosSpec(kind="error", times=99)},
+        half_chaos = Chaos(
             os.path.join(state, "interrupt"),
+            items={N_ITEMS // 2: ChaosSpec(kind="error", times=99)},
         )
-        with chaos_sweeps(half_chaos):
+        with chaos_scope(half_chaos):
             try:
                 sweep_map(
                     _solve_point,

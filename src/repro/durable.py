@@ -15,9 +15,9 @@ storage") sets out the rules; in short:
   its writer and torn writes, not a power loss or an OS crash;
 * replay reads complete lines only and skips lines that fail ``ck``.
 
-An installed :class:`repro.robust.faultinject.ServeChaos` harness
-(``wal_faults={"append": ...}``) makes scheduled appends to any log fail
-with ``ENOSPC`` or persist only half their line.
+An installed :class:`repro.robust.faultinject.Chaos` harness
+(``log={"append": ...}``) makes scheduled appends to any log fail with
+``ENOSPC`` or persist only half their line.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ __all__ = [
 class LogWriteError(OSError):
     """An append could not be written (disk full, permissions): the
     record is not in the log."""
-
-
-def _chaos():
-    """The installed service chaos harness, if any."""
-    try:
-        from .robust.faultinject import active_serve_chaos
-    except Exception:  # pragma: no cover - degenerate import environment
-        return None
-    return active_serve_chaos()
 
 
 def _json_default(obj):
@@ -139,8 +130,11 @@ class AppendLog:
         a crash mid-``write`` leaves — and returns normally.
         """
         data = _encode(record, self.key).encode("utf-8") + b"\n"
-        chaos = _chaos()
-        fault = chaos.wal_op("append") if chaos is not None else None
+        # imported here so that importing this module loads no numpy
+        from .robust.faultinject import active_chaos
+
+        chaos = active_chaos()
+        fault = chaos.log_op("append") if chaos is not None else None
         if fault == "disk_full":
             raise LogWriteError(errno.ENOSPC, "injected disk-full on log append")
         if fault == "torn":

@@ -1,9 +1,11 @@
-"""Damped Newton solvers shared by DC, transient, shooting, HB and MPDE.
+"""Damped Newton solver shared by DC, transient, shooting, envelope and
+hierarchical shooting.
 
-Every nonlinear solve in the tool family reduces to the same template:
-``F(x) = 0`` with a Jacobian that may be a dense array, a scipy sparse
-matrix, or an abstract linear operator solved iteratively.  This module
-implements a line-search damped Newton iteration over that template.
+Those analyses reduce to the same template: ``F(x) = 0`` with a
+Jacobian that may be a dense array, a scipy sparse matrix, or a solver
+callable.  This module implements a line-search damped Newton iteration
+over that template.  HB and the other MPDE solvers run their own Newton
+loop in :func:`repro.mpde.mpde_core.solve_mpde`.
 """
 
 from __future__ import annotations
@@ -142,8 +144,9 @@ def newton_solve(
         Maps an iterate to the residual vector ``F(x)``.
     jacobian:
         Maps an iterate to either a matrix ``J(x)`` (dense or sparse) or a
-        *solver* callable ``dx = J(r)`` implementing ``J(x)^{-1} r`` (used
-        by the matrix-free HB Newton where the Jacobian solve is GMRES).
+        *solver* callable ``dx = J(r)`` implementing ``J(x)^{-1} r`` (for
+        a matrix-free Jacobian; every caller in the package passes a
+        matrix).
     x0:
         Initial guess (not modified).
     factor_cache / cache_key:

@@ -24,12 +24,7 @@ import scipy.sparse as sp
 from repro.analysis.dc import dc_analysis
 from repro.linalg import NewtonOptions, newton_solve
 from repro.mpde.grid import Axis, MPDEGrid
-from repro.mpde.mpde_core import (
-    MPDEOptions,
-    _BlockDiagPattern,
-    _circulant_matrix,
-    solve_mpde,
-)
+from repro.mpde.mpde_core import _BlockDiagPattern, _circulant_matrix
 from repro.netlist.mna import MNASystem
 
 __all__ = ["FastPeriodicSystem", "EnvelopeResult", "envelope_analysis"]
@@ -85,14 +80,7 @@ class FastPeriodicSystem:
 
     def periodic_solution(self, tau: float, x_dc: Optional[np.ndarray] = None) -> np.ndarray:
         """Fast-periodic steady state with slow sources frozen at ``tau``."""
-        opts = MPDEOptions(solver="direct")
-        x0 = None
-        if x_dc is not None:
-            x0 = np.tile(x_dc, self.ns)
-        # monkey-pass: freeze slow excitations by overriding the grid
-        # excitation through a tiny shim system? Simpler: solve_mpde with a
-        # custom B is not exposed, so do the Newton here.
-        Y = x0 if x0 is not None else np.tile(dc_analysis(self.system).x, self.ns)
+        Y = np.tile(x_dc if x_dc is not None else dc_analysis(self.system).x, self.ns)
         B = self.BY(tau)
 
         def residual(Yv):

@@ -177,16 +177,15 @@ class MPDESolution:
         reports amplitude ``A`` at ``f``.
         """
         H = self.harmonics(node)
-        out = {}
-        for flat_idx in range(H.size):
-            multi = np.unravel_index(flat_idx, H.shape)
-            f_phys = 0.0
-            for a, ax in enumerate(self.grid.axes):
-                k = np.fft.fftfreq(ax.size, d=1.0 / ax.size)[multi[a]]
-                f_phys += k * ax.freq
-            key = abs(round(f_phys, 6))
-            out[key] = out.get(key, 0.0) + abs(H[multi])
-        return sorted(out.items())
+        f_phys = 0.0
+        for a, ax in enumerate(self.grid.axes):
+            k = np.fft.fftfreq(ax.size, d=1.0 / ax.size)
+            shape = [1] * H.ndim
+            shape[a] = ax.size
+            f_phys = f_phys + k.reshape(shape) * ax.freq
+        keys, bins = np.unique(np.abs(np.round(f_phys, 6)), return_inverse=True)
+        amps = np.bincount(bins.ravel(), weights=np.abs(H).ravel(), minlength=keys.size)
+        return list(zip(keys, amps))
 
     def univariate(self, t: np.ndarray) -> np.ndarray:
         """Reconstruct x(t) = x_hat(t, ..., t); returns (len(t), n)."""
@@ -259,11 +258,6 @@ class _BlockDiagPattern:
         out = np.zeros(self.n * self.n, dtype=vals.dtype)
         out[self.keys] = self.fill(vals)
         return out.reshape(self.n, self.n)
-
-
-def _block_diag_sparse(pattern, vals, n, m) -> sp.csr_matrix:
-    """Assemble blockdiag over samples from per-sample COO values."""
-    return _BlockDiagPattern(pattern, n, m).matrix(vals)
 
 
 #: Largest probe reading ``max_k ||A_k y_k - z_k|| / ||z_k||`` at which

@@ -110,10 +110,10 @@ Under ``"raise"`` (and ``"retry"`` once retries run out) the sweep
 raises the error of the lowest-indexed item that used up its attempts,
 once every lower-indexed item has finished, so the error does not
 depend on the backend, worker count, chunking or completion order.
-Arming a knob (or installing a
-:func:`repro.robust.faultinject.chaos_sweeps` harness) adds the
-per-item ledger to ``stats``; a deadline or a checkpoint also switches
-process dispatch to one item per future.
+Arming a knob (or installing a :class:`repro.robust.faultinject.Chaos`
+harness with ``items`` faults) adds the per-item ledger to ``stats``; a
+deadline or a checkpoint also switches process dispatch to one item per
+future.
 
 Worker processes are seeded at pool start with the parent's tracing
 state: child spans are aggregated in-memory and folded back into the
@@ -142,6 +142,7 @@ from typing import Callable, Iterable, List, Optional
 
 from .. import trace as _trace
 from ..durable import AppendLog
+from ..robust.faultinject import active_chaos
 from ..robust.report import SweepItemRecord
 from ..trace import get_tracer
 
@@ -152,7 +153,6 @@ __all__ = [
     "RETRIES_ENV",
     "CHECKPOINT_ENV",
     "CHECKPOINT_KEY_ENV",
-    "CHECKPOINT_COMPACT_ENV",
     "MAX_ITEM_RECORDS_ENV",
     "BACKENDS",
     "ON_ITEM_FAILURE_MODES",
@@ -167,7 +167,6 @@ __all__ = [
     "resolve_timeout",
     "resolve_retries",
     "resolve_checkpoint",
-    "resolve_checkpoint_compact",
     "resolve_max_item_records",
     "sweep_map",
 ]
@@ -188,12 +187,6 @@ CHECKPOINT_ENV = "REPRO_SWEEP_CHECKPOINT"
 #: restore unpickles result blobs, and unpickling attacker-controlled
 #: data executes arbitrary code.
 CHECKPOINT_KEY_ENV = "REPRO_SWEEP_CHECKPOINT_KEY"
-#: Checkpoint-compaction size trigger in bytes.  Opening a checkpoint
-#: file larger than this that contains superseded or corrupt lines
-#: rewrites it atomically, keeping only the latest line per item key
-#: (across every fingerprint sharing the file).  ``0`` disables
-#: compaction; unset means 4 MiB.
-CHECKPOINT_COMPACT_ENV = "REPRO_SWEEP_CHECKPOINT_COMPACT"
 #: Cap on detailed ``stats["items"]`` ledger entries (see
 #: :func:`resolve_max_item_records`).  ``0`` means unlimited; unset
 #: means 10000.
@@ -206,8 +199,11 @@ ON_ITEM_FAILURE_MODES = ("raise", "retry", "skip")
 #: Default base of the jittered exponential retry backoff, in seconds.
 _DEFAULT_BACKOFF = 0.05
 
-#: Default checkpoint-compaction trigger (bytes).
-_DEFAULT_COMPACT_BYTES = 4 * 1024 * 1024
+#: Checkpoint-compaction size trigger in bytes.  Opening a checkpoint
+#: file larger than this that contains superseded or corrupt lines
+#: rewrites it atomically, keeping only the latest line per item key
+#: (across every fingerprint sharing the file).
+_COMPACT_BYTES = 4 * 1024 * 1024
 
 #: Default ``stats["items"]`` ledger cap (detailed records).
 _DEFAULT_MAX_ITEM_RECORDS = 10000
@@ -444,31 +440,6 @@ def resolve_checkpoint(checkpoint=None) -> Optional[str]:
     return os.fspath(checkpoint)
 
 
-def resolve_checkpoint_compact(value=None) -> int:
-    """Effective checkpoint-compaction trigger in bytes.
-
-    Explicit arg, else :data:`CHECKPOINT_COMPACT_ENV`, else 4 MiB.
-    ``0`` disables compaction; negative or non-numeric values raise
-    :class:`ValueError`.
-    """
-    if value is None:
-        raw = os.environ.get(CHECKPOINT_COMPACT_ENV, "").strip()
-        if not raw:
-            return _DEFAULT_COMPACT_BYTES
-        value = raw
-    try:
-        n = int(float(value))
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"checkpoint compact trigger must be a byte count >= 0, got {value!r}"
-        )
-    if n < 0:
-        raise ValueError(
-            f"checkpoint compact trigger must be a byte count >= 0, got {value!r}"
-        )
-    return n
-
-
 def resolve_max_item_records(value=None) -> int:
     """Effective cap on detailed ``stats["items"]`` ledger entries.
 
@@ -549,15 +520,6 @@ def _process_worker_init(trace_enabled: bool, crumbs) -> None:
         # in-memory child tracer: spans are aggregated and shipped back
         # to the parent with each unit's outcomes (no JSONL file of its own)
         _trace.enable(None)
-
-
-def _active_chaos():
-    """The installed chaos harness, if any (lazy import: no cycle)."""
-    try:
-        from ..robust.faultinject import active_sweep_chaos
-    except Exception:  # pragma: no cover - degenerate import environment
-        return None
-    return active_sweep_chaos()
 
 
 def _can_alarm() -> bool:
@@ -796,20 +758,18 @@ class _CheckpointStore:
     def _maybe_compact(self, latest: dict, total: int) -> None:
         """Atomically rewrite the file when it is both big and garbagey.
 
-        Triggered at store open, when the file exceeds the
-        :func:`resolve_checkpoint_compact` byte budget *and* holds lines
-        that no resume can use (superseded duplicates, torn or tampered
-        lines).  The rewrite keeps exactly the latest line per
-        ``(fingerprint, key)`` — other sweeps' lines keep their MACs —
-        and is published atomically, so a crash mid-compaction leaves
-        the original.
+        Triggered at store open, when the file exceeds
+        :data:`_COMPACT_BYTES` *and* holds lines that no resume can use
+        (superseded duplicates, torn or tampered lines).  The rewrite
+        keeps exactly the latest line per ``(fingerprint, key)`` — other
+        sweeps' lines keep their MACs — and is published atomically, so a
+        crash mid-compaction leaves the original.
         """
-        limit = resolve_checkpoint_compact()
-        if limit <= 0 or total <= len(latest):
+        if total <= len(latest):
             return
         try:
             size = os.path.getsize(self.path)
-            if size <= limit:
+            if size <= _COMPACT_BYTES:
                 return
             after = self.log.rewrite(latest.values())
         except OSError:  # pragma: no cover - unwritable dir: keep original
@@ -1563,8 +1523,7 @@ def sweep_map(
         ``fn`` for resume matching.  Restore unpickles stored results:
         only point this at files written by a trusted sweep, or set
         :data:`CHECKPOINT_KEY_ENV` to HMAC-authenticate lines.  Opening
-        a checkpoint file that exceeds the
-        :data:`CHECKPOINT_COMPACT_ENV` byte budget and contains
+        a checkpoint file larger than 4 MiB that contains
         superseded/corrupt lines compacts it atomically (latest line
         per item key, every fingerprint preserved; the rewrite is
         fsync'd before it replaces the file) and reports it under
@@ -1587,13 +1546,13 @@ def sweep_map(
         requested backend's degenerate case, not a fallback).
         The dict is populated even when ``fn`` raises (``attempted``
         counts the executions started — retries included — before the
-        failure).  When a fault-tolerance knob (or a chaos harness) is
-        armed the dict also gains ``"items"`` (the per-item ledger,
-        capped by ``max_item_records``), ``"items_truncated"``,
-        ``"status_counts"`` (exact per-status tallies), ``"retried"``,
-        ``"quarantined"``, ``"cached"``, ``"timeouts"``,
-        ``"pool_replacements"``, ``"fault_policy"`` and (with a
-        checkpoint) ``"checkpoint"``.
+        failure).  When a fault-tolerance knob (or a chaos harness with
+        ``items`` faults) is armed the dict also gains ``"items"`` (the
+        per-item ledger, capped by ``max_item_records``),
+        ``"items_truncated"``, ``"status_counts"`` (exact per-status
+        tallies), ``"retried"``, ``"quarantined"``, ``"cached"``,
+        ``"timeouts"``, ``"pool_replacements"``, ``"fault_policy"`` and
+        (with a checkpoint) ``"checkpoint"``.
 
     Exceptions raised by ``fn`` propagate to the caller on every
     backend: the sweep raises the error of the lowest-indexed item that
@@ -1613,7 +1572,9 @@ def sweep_map(
         backoff_base = float(retry_backoff)
         if backoff_base < 0 or not math.isfinite(backoff_base):
             raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff!r}")
-    chaos = _active_chaos()
+    chaos = active_chaos()
+    if chaos is not None and not chaos.faults["items"]:
+        chaos = None  # a harness for other surfaces leaves the sweep unarmed
     armed = (
         eff_timeout is not None
         or ckpt_path is not None

@@ -17,22 +17,17 @@ from repro.robust.diagnostics import (
     enforce,
 )
 from repro.robust.faultinject import (
+    Chaos,
     ChaosSpec,
     FaultClock,
     FaultyMNASystem,
-    ServeChaos,
-    SweepChaos,
     TransientFault,
-    active_serve_chaos,
-    active_sweep_chaos,
-    chaos_serve,
-    chaos_sweeps,
+    active_chaos,
+    chaos_scope,
     inject_error,
     inject_nan,
     inject_perturb,
     inject_singular,
-    install_serve_chaos,
-    install_sweep_chaos,
     tear_final_line,
 )
 from repro.robust.krylov import DirectSolveResult, robust_direct_solve, robust_gmres
@@ -50,6 +45,7 @@ __all__ = [
     "ON_INVALID_MODES",
     "SEVERITIES",
     "AttemptRecord",
+    "Chaos",
     "ChaosSpec",
     "Diagnostic",
     "DirectSolveResult",
@@ -57,25 +53,19 @@ __all__ = [
     "FaultClock",
     "FaultyMNASystem",
     "RungOutcome",
-    "ServeChaos",
     "SolveFailure",
     "SolveReport",
-    "SweepChaos",
     "SweepItemRecord",
     "TransientFault",
     "ValidationError",
     "ValidationReport",
-    "active_serve_chaos",
-    "active_sweep_chaos",
-    "chaos_serve",
-    "chaos_sweeps",
+    "active_chaos",
+    "chaos_scope",
     "enforce",
     "inject_error",
     "inject_nan",
     "inject_perturb",
     "inject_singular",
-    "install_serve_chaos",
-    "install_sweep_chaos",
     "robust_direct_solve",
     "robust_gmres",
     "run_ladder",

@@ -20,24 +20,26 @@ Faults are scheduled by a :class:`FaultClock` counting calls, so a test
 can make exactly the first ``k`` evaluations fail and then observe the
 ladder recover.  All wrappers leave argument/return conventions intact.
 
-Beyond the solver-callable wrappers, this module also hosts the **sweep
-chaos harness** (:class:`SweepChaos` + :func:`chaos_sweeps`): scheduled
-per-item faults — transient errors, hangs, and hard worker crashes via
-``os._exit`` — injected into :func:`repro.perf.sweep_map` tasks, in
-whatever process the task executes.  Attempt counters live in files so a
-schedule like "crash the first execution of item 3, succeed afterwards"
-holds across worker processes, retries and pool replacements; that is
-what makes the sweep executor's recovery paths *testable* instead of
-merely written.
+Beyond the solver-callable wrappers, this module also hosts the **chaos
+harness** (:class:`Chaos` + :func:`chaos_scope`): scheduled faults in
+:func:`repro.perf.sweep_map` items, service jobs, append-only-log
+appends, result-store writes and HTTP requests — transient errors,
+hangs, hard crashes via ``os._exit``, disk-full and torn writes, dropped
+connections — injected in whatever process the work executes.
+Occurrence counters live in files so a schedule like "crash the first
+execution of item 3, succeed afterwards" holds across worker processes,
+retries, pool replacements and service restarts; that is what makes the
+recovery paths *testable* instead of merely written.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,22 +47,17 @@ import scipy.sparse as sp
 from repro.linalg.newton import ConvergenceError
 
 __all__ = [
+    "Chaos",
     "ChaosSpec",
     "FaultClock",
     "FaultyMNASystem",
-    "ServeChaos",
-    "SweepChaos",
     "TransientFault",
-    "active_serve_chaos",
-    "active_sweep_chaos",
-    "chaos_serve",
-    "chaos_sweeps",
+    "active_chaos",
+    "chaos_scope",
     "inject_error",
     "inject_nan",
     "inject_perturb",
     "inject_singular",
-    "install_serve_chaos",
-    "install_sweep_chaos",
     "tear_final_line",
 ]
 
@@ -176,32 +173,39 @@ def inject_error(
     return wrapped
 
 
-#: ``error``/``hang``/``crash`` strike executing tasks (sweep items,
-#: service jobs); ``disk_full``/``torn`` strike write-ahead-log appends
-#: and result-store writes; ``drop`` (close the connection without a
-#: response) is HTTP-only.  Which kinds a fault map accepts is enforced
-#: per surface in :class:`ServeChaos`.
+#: Fault kinds each :class:`Chaos` surface accepts (its docstring says
+#: what each kind does there).
+_SURFACE_KINDS = {
+    "items": ("error", "hang", "crash"),
+    "jobs": ("error", "hang", "crash"),
+    "log": ("disk_full", "torn"),
+    "store": ("error", "torn", "crash"),
+    "http": ("error", "hang", "drop", "torn"),
+}
 _CHAOS_KINDS = ("error", "hang", "crash", "disk_full", "torn", "drop")
 
 
 @dataclasses.dataclass
 class ChaosSpec:
-    """One scheduled fault for a single sweep item.
+    """One scheduled fault on one tag of a :class:`Chaos` surface.
 
     Attributes
     ----------
     kind:
-        ``"error"`` — raise ``exc_type(message)`` (a transient fault);
-        ``"hang"`` — sleep ``duration`` seconds before running (models a
-        stuck solve; a sweep deadline interrupts the sleep);
-        ``"crash"`` — ``os._exit(exit_code)``, killing the worker
-        process without cleanup (models OOM kills / segfaults).  Never
-        schedule a crash for a task that executes in the parent process
-        (serial/thread backends) unless losing the parent is the point.
+        One of ``error``, ``hang``, ``crash``, ``disk_full``, ``torn``,
+        ``drop``; which ones a surface accepts is listed in
+        :class:`Chaos`.  On a task surface: ``"error"`` — raise
+        ``exc_type(message)`` (a transient fault); ``"hang"`` — sleep
+        ``duration`` seconds before running (models a stuck solve; a
+        sweep deadline interrupts the sleep); ``"crash"`` —
+        ``os._exit(exit_code)``, killing the process without cleanup
+        (models OOM kills / segfaults).  Never schedule a crash for a
+        task that executes in the parent process (serial/thread
+        backends) unless losing the parent is the point.
     times:
-        Executions 1..times of the item fault; later executions run
-        clean — so ``times=1`` models a transient fault that a single
-        retry survives, and a large ``times`` models a poison item.
+        Occurrences 1..times of the tag fault; later ones run clean — so
+        ``times=1`` models a transient fault that a single retry
+        survives, and a large ``times`` models a poison item.
     duration / exit_code / exc_type / message:
         Kind-specific knobs.  ``exc_type`` must be a module-level
         exception class so the spec stays picklable.
@@ -223,182 +227,65 @@ class ChaosSpec:
             raise ValueError(f"times must be >= 1, got {self.times}")
 
 
-class SweepChaos:
-    """Deterministic per-item fault injection for sweep executor tasks.
+class Chaos:
+    """Deterministic fault injection for sweeps and the simulation service.
 
-    ``faults`` maps **item index** (the position in the sweep's item
-    list) to a :class:`ChaosSpec`.  The harness is picklable, so it
-    rides into process-backend workers with the task itself; attempt
-    counters are one file per item under ``state_dir`` (a byte appended
-    per execution), which makes schedules hold across worker processes,
-    retries, pool replacements, and the parent's own serial fallbacks.
+    Each keyword maps the tags of one fault surface to :class:`ChaosSpec`
+    schedules:
 
-    Install it around a block of sweeps with :func:`chaos_sweeps`::
+    * ``items`` — a sweep **item index** (the position in the sweep's
+      item list) to ``error``/``hang``/``crash``, applied as the item
+      starts by :func:`repro.perf.sweep_map`, in whatever process
+      executes it;
+    * ``jobs`` — a **netlist tag** (any substring of the submitted
+      netlist text, or ``"*"`` for every job) to ``error``/``hang``/
+      ``crash``, applied by a service worker as a claimed job starts
+      solving: a ``crash`` models a worker SIGKILL'd mid-job, a ``hang``
+      a stuck solve the lease TTL must reap;
+    * ``log`` — an **operation name** (``"append"``) of every
+      :class:`repro.durable.AppendLog` (the service WAL and sweep
+      checkpoints) to ``disk_full`` (the append raises ``ENOSPC``) or
+      ``torn`` (only half the line persists — what a crash mid-``write``
+      leaves);
+    * ``store`` — a result-store **operation name** (``"put"``) to
+      ``torn`` (a half-written payload under the final name, the
+      pre-fsync power-loss failure mode, then raise), ``crash``
+      (``os._exit`` after the temp write but before publication) or
+      ``error`` (raise before any write);
+    * ``http`` — a **path substring** (or ``"*"``) of HTTP front-end
+      requests to ``drop`` (close the connection without a response),
+      ``torn`` (headers plus half the body, then kill the connection),
+      ``hang`` (sleep ``duration`` before handling) or ``error`` (answer
+      500).
 
-        chaos = SweepChaos({3: ChaosSpec(kind="crash")}, tmp_path)
-        with chaos_sweeps(chaos):
+    On ``jobs`` and ``http`` the first tag found is the one counted and
+    applied.  Occurrences are counted in files under ``state_dir`` (one
+    byte each), so "crash the first attempt, succeed after" holds across
+    worker processes, retries, pool replacements and service restarts.
+    The harness is picklable: it rides into process-backend sweep
+    workers with each task.  Install it process-wide with
+    :func:`chaos_scope`::
+
+        chaos = Chaos(tmp_path, items={3: ChaosSpec(kind="crash")})
+        with chaos_scope(chaos):
             ac_analysis(system, "V1", freqs, backend="process",
                         sweep_options={"on_item_failure": "retry"})
-        assert chaos.attempts(3) == 2   # crashed once, replayed once
+        assert chaos.count("items", 3) == 2   # crashed once, replayed once
     """
 
-    def __init__(self, faults: Dict[int, ChaosSpec], state_dir):
-        self.faults = {int(k): v for k, v in faults.items()}
-        for spec in self.faults.values():
-            if not isinstance(spec, ChaosSpec):
-                raise TypeError(f"fault values must be ChaosSpec, got {spec!r}")
-        self.state_dir = os.fspath(state_dir)
-        os.makedirs(self.state_dir, exist_ok=True)
-
-    # -- attempt bookkeeping (file-based: shared across processes) -----
-    def _counter_path(self, index: int) -> str:
-        return os.path.join(self.state_dir, f"item_{int(index)}.attempts")
-
-    def attempts(self, index: int) -> int:
-        """How many times item ``index`` started executing so far."""
-        try:
-            return os.path.getsize(self._counter_path(index))
-        except OSError:
-            return 0
-
-    def reset(self) -> None:
-        """Forget all attempt counters (fresh schedule)."""
-        for index in self.faults:
-            try:
-                os.remove(self._counter_path(index))
-            except OSError:
-                pass
-
-    # -- the injection point consumed by repro.perf.sweep --------------
-    def before_item(self, index: int) -> None:
-        """Called by the sweep executor as item ``index`` starts.
-
-        Counts the execution, then applies the scheduled fault (if any
-        remain for this item).  Runs in whatever process executes the
-        item, which is exactly where a real fault would strike.
-        """
-        spec = self.faults.get(int(index))
-        if spec is None:
-            return
-        with open(self._counter_path(index), "ab") as fh:
-            fh.write(b".")
-            fh.flush()
-            n = fh.tell()
-        if n > spec.times:
-            return
-        if spec.kind == "crash":
-            os._exit(spec.exit_code)
-        if spec.kind == "hang":
-            time.sleep(spec.duration)
-            return
-        raise spec.exc_type(f"{spec.message} (item {index}, attempt {n})")
-
-
-#: Process-global chaos harness consumed by repro.perf.sweep (parent
-#: side — the harness is then shipped to workers with each task).
-_SWEEP_CHAOS: Optional[SweepChaos] = None
-
-
-def install_sweep_chaos(chaos: Optional[SweepChaos]) -> Optional[SweepChaos]:
-    """Install (or clear, with ``None``) the active sweep chaos harness.
-
-    Returns the previously installed harness so callers can restore it.
-    """
-    global _SWEEP_CHAOS
-    prev = _SWEEP_CHAOS
-    _SWEEP_CHAOS = chaos
-    return prev
-
-
-def active_sweep_chaos() -> Optional[SweepChaos]:
-    """The harness :func:`repro.perf.sweep_map` will inject, if any."""
-    return _SWEEP_CHAOS
-
-
-@contextmanager
-def chaos_sweeps(chaos: SweepChaos):
-    """Scope ``chaos`` over a block: every ``sweep_map`` inside it runs
-    with the harness's scheduled faults, whatever backend executes."""
-    prev = install_sweep_chaos(chaos)
-    try:
-        yield chaos
-    finally:
-        install_sweep_chaos(prev)
-
-
-# -- service-level chaos ------------------------------------------------
-
-_JOB_KINDS = ("error", "hang", "crash")
-_WAL_KINDS = ("disk_full", "torn")
-_STORE_KINDS = ("error", "torn", "crash")
-_HTTP_KINDS = ("error", "hang", "drop", "torn")
-
-
-class ServeChaos:
-    """Deterministic fault injection for the simulation service.
-
-    Two fault surfaces:
-
-    * ``job_faults`` maps a **netlist tag** — any substring of the
-      submitted netlist text, or ``"*"`` for every job — to a
-      :class:`ChaosSpec` with a task-level kind (``error``/``hang``/
-      ``crash``).  Workers call :meth:`before_job` as a claimed job
-      starts solving; the fault strikes *in the worker process*, so a
-      ``crash`` models a worker SIGKILL'd mid-job and a ``hang`` models
-      a stuck solve the lease TTL must reap.
-    * ``wal_faults`` maps a WAL **operation name** (currently
-      ``"append"``) to a spec with a log-level kind: ``disk_full``
-      makes scheduled appends raise ``ENOSPC``, ``torn`` makes them
-      persist only half the line — what a crash mid-``write`` leaves.
-    * ``store_faults`` maps a result-store **operation name**
-      (currently ``"put"``) to a spec: ``torn`` leaves a half-written
-      payload under the final name (the pre-fsync power-loss failure
-      mode) and raises, ``crash`` ``os._exit``'s after the temp write
-      but before publication (the atomicity regression net), ``error``
-      raises before any write.
-    * ``http_faults`` maps a **path substring** (or ``"*"``) of HTTP
-      front-end requests to a spec: ``drop`` closes the connection
-      without any response, ``torn`` sends the headers plus half the
-      body then kills the connection mid-response, ``hang`` sleeps
-      ``duration`` before handling, ``error`` answers 500.
-
-    All schedules count executions in files under ``state_dir`` (one
-    byte per occurrence), so "crash the first attempt, succeed after"
-    holds across worker processes and service restarts — the same
-    idiom as :class:`SweepChaos`.
-
-    Install process-wide with :func:`chaos_serve`::
-
-        chaos = ServeChaos({"poison": ChaosSpec(kind="crash")}, tmp_path)
-        with chaos_serve(chaos):
-            svc.drain()
-        assert chaos.attempts("poison") == 2   # crashed once, retried
-    """
-
-    def __init__(
-        self,
-        job_faults: Optional[Dict[str, ChaosSpec]] = None,
-        state_dir=".",
-        wal_faults: Optional[Dict[str, ChaosSpec]] = None,
-        store_faults: Optional[Dict[str, ChaosSpec]] = None,
-        http_faults: Optional[Dict[str, ChaosSpec]] = None,
-    ):
-        self.job_faults = dict(job_faults or {})
-        self.wal_faults = dict(wal_faults or {})
-        self.store_faults = dict(store_faults or {})
-        self.http_faults = dict(http_faults or {})
-        surfaces = (
-            ("job", self.job_faults, _JOB_KINDS),
-            ("wal", self.wal_faults, _WAL_KINDS),
-            ("store", self.store_faults, _STORE_KINDS),
-            ("http", self.http_faults, _HTTP_KINDS),
-        )
-        for surface, faults, kinds in surfaces:
+    def __init__(self, state_dir, items=None, jobs=None, log=None, store=None, http=None):
+        self.faults = {
+            "items": {int(k): v for k, v in (items or {}).items()},
+            "jobs": dict(jobs or {}),
+            "log": dict(log or {}),
+            "store": dict(store or {}),
+            "http": dict(http or {}),
+        }
+        for surface, faults in self.faults.items():
+            kinds = _SURFACE_KINDS[surface]
             for tag, spec in faults.items():
                 if not isinstance(spec, ChaosSpec):
-                    raise TypeError(
-                        f"fault values must be ChaosSpec, got {spec!r}"
-                    )
+                    raise TypeError(f"fault values must be ChaosSpec, got {spec!r}")
                 if spec.kind not in kinds:
                     raise ValueError(
                         f"{surface} fault {tag!r}: kind must be one of "
@@ -408,125 +295,104 @@ class ServeChaos:
         os.makedirs(self.state_dir, exist_ok=True)
 
     # -- counters (file-based: shared across processes) ----------------
-    @staticmethod
-    def _slug(text: str) -> str:
-        import hashlib
+    def _counter(self, surface: str, tag) -> str:
+        digest = hashlib.sha256(str(tag).encode("utf-8")).hexdigest()[:12]
+        return os.path.join(self.state_dir, f"{surface}_{digest}.count")
 
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-
-    def _job_counter(self, tag: str) -> str:
-        return os.path.join(self.state_dir, f"serve_job_{self._slug(tag)}.attempts")
-
-    def _wal_counter(self, op: str) -> str:
-        return os.path.join(self.state_dir, f"serve_wal_{op}.count")
-
-    def _store_counter(self, op: str) -> str:
-        return os.path.join(self.state_dir, f"serve_store_{op}.count")
-
-    def _http_counter(self, tag: str) -> str:
-        return os.path.join(
-            self.state_dir, f"serve_http_{self._slug(tag)}.count"
-        )
-
-    @staticmethod
-    def _bump(path: str) -> int:
-        with open(path, "ab") as fh:
-            fh.write(b".")
-            fh.flush()
-            return fh.tell()
-
-    @staticmethod
-    def _count(path: str) -> int:
+    def count(self, surface: str, tag) -> int:
+        """Occurrences of ``tag`` on ``surface`` so far — executions
+        started, for ``items`` and ``jobs``."""
+        if surface not in _SURFACE_KINDS:
+            raise ValueError(f"unknown chaos surface {surface!r}")
         try:
-            return os.path.getsize(path)
+            return os.path.getsize(self._counter(surface, tag))
         except OSError:
             return 0
 
-    def attempts(self, tag: str) -> int:
-        """Executions so far of jobs matching ``tag``."""
-        return self._count(self._job_counter(tag))
-
-    def wal_ops(self, op: str) -> int:
-        """WAL operations of kind ``op`` seen so far."""
-        return self._count(self._wal_counter(op))
-
-    def store_ops(self, op: str) -> int:
-        """Result-store operations of kind ``op`` seen so far."""
-        return self._count(self._store_counter(op))
-
-    def http_ops(self, tag: str) -> int:
-        """HTTP requests matching fault tag ``tag`` seen so far."""
-        return self._count(self._http_counter(tag))
-
     def reset(self) -> None:
-        paths = (
-            [self._job_counter(t) for t in self.job_faults]
-            + [self._wal_counter(o) for o in self.wal_faults]
-            + [self._store_counter(o) for o in self.store_faults]
-            + [self._http_counter(t) for t in self.http_faults]
-        )
-        for path in paths:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+        """Forget all counters (fresh schedule)."""
+        for surface, faults in self.faults.items():
+            for tag in faults:
+                try:
+                    os.remove(self._counter(surface, tag))
+                except OSError:
+                    pass
 
-    # -- injection points consumed by repro.serve ----------------------
-    def before_job(self, netlist: str, job_id: str = "") -> None:
-        """Called by a worker as a claimed job starts solving.
-
-        The first ``job_faults`` tag found in the netlist text (``"*"``
-        matches everything) is counted and, while executions remain in
-        its schedule, applied — in this process, like a real fault.
-        """
-        for tag, spec in self.job_faults.items():
-            if tag != "*" and tag not in netlist:
-                continue
-            n = self._bump(self._job_counter(tag))
-            if n > spec.times:
-                return
-            if spec.kind == "crash":
-                os._exit(spec.exit_code)
-            if spec.kind == "hang":
-                time.sleep(spec.duration)
-                return
-            raise spec.exc_type(f"{spec.message} (job {job_id}, attempt {n})")
-
-    def wal_op(self, op: str) -> Optional[str]:
-        """Called by the WAL before operation ``op``; returns the fault
-        kind to apply (``"disk_full"``/``"torn"``) or ``None``."""
-        spec = self.wal_faults.get(op)
+    def _due(self, surface: str, tag):
+        """Count one occurrence of a scheduled ``tag``; returns
+        ``(spec, n)``, with ``spec`` None once the schedule is spent."""
+        spec = self.faults[surface].get(tag)
         if spec is None:
-            return None
-        n = self._bump(self._wal_counter(op))
-        if n > spec.times:
-            return None
-        return spec.kind
+            return None, 0
+        with open(self._counter(surface, tag), "ab") as fh:
+            fh.write(b".")
+            fh.flush()
+            n = fh.tell()
+        return (spec if n <= spec.times else None), n
+
+    def _first_tag(self, surface: str, text: str):
+        return next((t for t in self.faults[surface] if t == "*" or t in text), None)
+
+    def _strike(self, surface: str, tag, what: str) -> None:
+        spec, n = self._due(surface, tag)
+        if spec is None:
+            return
+        if spec.kind == "crash":
+            os._exit(spec.exit_code)
+        if spec.kind == "hang":
+            time.sleep(spec.duration)
+            return
+        raise spec.exc_type(f"{spec.message} ({what}, attempt {n})")
+
+    # -- injection points ----------------------------------------------
+    def before_item(self, index: int) -> None:
+        """Called by the sweep executor as item ``index`` starts, in the
+        process that executes it — exactly where a real fault strikes."""
+        self._strike("items", int(index), f"item {index}")
+
+    def before_job(self, netlist: str, job_id: str = "") -> None:
+        """Called by a service worker as a claimed job starts solving."""
+        self._strike("jobs", self._first_tag("jobs", netlist), f"job {job_id}")
+
+    def log_op(self, op: str) -> Optional[str]:
+        """Called by an append-only log before operation ``op``; returns
+        the fault kind to apply (``"disk_full"``/``"torn"``) or ``None``."""
+        spec, _ = self._due("log", op)
+        return spec.kind if spec is not None else None
 
     def store_op(self, op: str) -> Optional[ChaosSpec]:
         """Called by the result store before operation ``op``; returns
         the scheduled :class:`ChaosSpec` (the store needs its
         ``exc_type``/``exit_code``, not just the kind) or ``None``."""
-        spec = self.store_faults.get(op)
-        if spec is None:
-            return None
-        n = self._bump(self._store_counter(op))
-        if n > spec.times:
-            return None
-        return spec
+        return self._due("store", op)[0]
 
     def http_op(self, path: str) -> Optional[ChaosSpec]:
-        """Called by the HTTP front-end per request; first tag found in
-        ``path`` (``"*"`` matches everything) is counted and, while its
-        schedule lasts, returned for the server to apply."""
-        for tag, spec in self.http_faults.items():
-            if tag != "*" and tag not in path:
-                continue
-            n = self._bump(self._http_counter(tag))
-            if n > spec.times:
-                return None
-            return spec
-        return None
+        """Called by the HTTP front-end per request; returns the spec of
+        the first tag found in ``path`` while its schedule lasts."""
+        return self._due("http", self._first_tag("http", path))[0]
+
+
+#: The installed harness, consulted by sweeps, service workers, the
+#: append-only log, the result store and the HTTP front-end.  Service
+#: worker processes inherit it when it is installed before they fork.
+_CHAOS: Optional[Chaos] = None
+
+
+def active_chaos() -> Optional[Chaos]:
+    """The installed chaos harness, if any."""
+    return _CHAOS
+
+
+@contextmanager
+def chaos_scope(chaos: Chaos):
+    """Install ``chaos`` process-wide over a block, then restore the
+    previous harness."""
+    global _CHAOS
+    prev, _CHAOS = _CHAOS, chaos
+    try:
+        yield chaos
+    finally:
+        _CHAOS = prev
 
 
 def tear_final_line(path) -> int:
@@ -556,35 +422,6 @@ def tear_final_line(path) -> int:
         fh.truncate(new_end)
     return size - new_end
 
-
-#: Process-global service chaos harness consumed by repro.serve (each
-#: worker process re-imports this module, so install it *before* fork
-#: or inside worker_main's process).
-_SERVE_CHAOS: Optional[ServeChaos] = None
-
-
-def install_serve_chaos(chaos: Optional[ServeChaos]) -> Optional[ServeChaos]:
-    """Install (or clear, with ``None``) the active service chaos
-    harness; returns the previously installed one."""
-    global _SERVE_CHAOS
-    prev = _SERVE_CHAOS
-    _SERVE_CHAOS = chaos
-    return prev
-
-
-def active_serve_chaos() -> Optional[ServeChaos]:
-    """The harness the service's WAL and workers will consult, if any."""
-    return _SERVE_CHAOS
-
-
-@contextmanager
-def chaos_serve(chaos: ServeChaos):
-    """Scope ``chaos`` over a block of service activity."""
-    prev = install_serve_chaos(chaos)
-    try:
-        yield chaos
-    finally:
-        install_serve_chaos(prev)
 
 
 class FaultyMNASystem:

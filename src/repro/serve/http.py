@@ -42,7 +42,7 @@ Every request runs under a ``serve.http.request`` trace span (route
 template + method + status, so id/key cardinality never explodes the
 trace), with ``serve.http.throttled`` / ``serve.http.unauthorized`` /
 ``serve.http.chaos`` events on the gates.  An installed
-:class:`~repro.robust.faultinject.ServeChaos` ``http_faults`` schedule
+:class:`~repro.robust.faultinject.Chaos` ``http`` schedule
 injects dropped connections, mid-response kills, hangs and 500s —
 which is how :class:`~repro.serve.client.ServeClient`'s retry/backoff
 stays tested instead of merely written.
@@ -60,6 +60,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
+from ..robust.faultinject import active_chaos
 from ..trace import get_tracer
 from .queue import ServiceConfig
 from .service import SimulationService
@@ -76,14 +77,6 @@ HIGH_WATER_ENV = "REPRO_SERVE_HIGH_WATER"
 _MAX_BODY_DEFAULT = 8 * 1024 * 1024
 
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
-
-
-def _chaos():
-    try:
-        from ..robust.faultinject import active_serve_chaos
-    except Exception:  # pragma: no cover - degenerate import environment
-        return None
-    return active_serve_chaos()
 
 
 class _RequestTimeout(Exception):
@@ -258,7 +251,7 @@ class ServeHandler(BaseHTTPRequestHandler):
     def _apply_chaos(self, path: str) -> bool:
         """Consume a scheduled HTTP fault; True when the request is
         already fully handled (dropped)."""
-        chaos = _chaos()
+        chaos = active_chaos()
         spec = chaos.http_op(path) if chaos is not None else None
         if spec is None:
             return False

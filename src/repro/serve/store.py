@@ -57,7 +57,8 @@ import time
 import uuid
 from typing import Dict, Iterator, Optional, Tuple
 
-from ..durable import _chaos, atomic_write_bytes, atomic_write_json, fsync_dir
+from ..durable import atomic_write_bytes, atomic_write_json, fsync_dir
+from ..robust.faultinject import active_chaos
 
 __all__ = [
     "RESULT_KEY_ENV",
@@ -163,7 +164,7 @@ class ResultStore:
         if mac_key is not None:
             side["mac"] = hmac.new(mac_key, blob, hashlib.sha256).hexdigest()
 
-        chaos = _chaos()
+        chaos = active_chaos()
         fault = chaos.store_op("put") if chaos is not None else None
         if fault is not None and fault.kind == "error":
             raise fault.exc_type(f"{fault.message} (store put {key[:12]})")

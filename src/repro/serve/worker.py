@@ -21,7 +21,7 @@ A worker is a loop over the durable queue:
 Workers swallow :class:`~repro.serve.wal.WALError` on state transitions
 (a worker that cannot write the log keeps its solve; the lease/reclaim
 machinery re-derives the state), and an installed
-:class:`~repro.robust.faultinject.ServeChaos` harness is consulted
+:class:`~repro.robust.faultinject.Chaos` harness is consulted
 before each solve — that is where injected crashes/hangs/poison strike,
 in the worker process, exactly where real ones would.
 
@@ -39,20 +39,13 @@ import threading
 import time
 from typing import Optional
 
+from ..robust.faultinject import active_chaos
 from ..trace import enable as trace_enable, get_tracer
 from .queue import JobQueue, ServiceConfig
 from .runner import run_job
 from .wal import WALError
 
 __all__ = ["Worker", "worker_main"]
-
-
-def _active_chaos():
-    try:
-        from ..robust.faultinject import active_serve_chaos
-    except Exception:  # pragma: no cover - degenerate import environment
-        return None
-    return active_serve_chaos()
 
 
 class Worker:
@@ -103,7 +96,7 @@ class Worker:
                 self.q.record_running(job_id, self.worker_id)
             except WALError:
                 pass  # lease + reclaim re-derive the state
-            chaos = _active_chaos()
+            chaos = active_chaos()
             if chaos is not None:
                 chaos.before_job(spec.netlist, job_id)
             payload = run_job(spec)

@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro.durable import AppendLog, atomic_write_bytes, decode_line, encode_record
-from repro.robust import ChaosSpec, ServeChaos, chaos_serve, tear_final_line
+from repro.robust import Chaos, ChaosSpec, chaos_scope, tear_final_line
 from repro.serve import WALError, WriteAheadLog, open_service
 
 KEY = b"sweep-secret"
@@ -84,12 +84,12 @@ class TornWriteCases:
         assert wal2.stats["skipped"] == 1
 
     def test_injected_disk_full_raises_walerror(self, tmp_path):
-        chaos = ServeChaos(
-            state_dir=tmp_path / "chaos",
-            wal_faults={"append": ChaosSpec(kind="disk_full", times=1)},
+        chaos = Chaos(
+            tmp_path / "chaos",
+            log={"append": ChaosSpec(kind="disk_full", times=1)},
         )
         wal = self.make_log(tmp_path / "w.jsonl")
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             with pytest.raises(WALError):
                 wal.append({"job": "a", "ev": "submitted"})
             wal.append({"job": "b", "ev": "submitted"})  # schedule spent
@@ -97,12 +97,12 @@ class TornWriteCases:
         assert [r["job"] for r in records] == ["b"]
 
     def test_injected_torn_write_recovers_on_replay(self, tmp_path):
-        chaos = ServeChaos(
-            state_dir=tmp_path / "chaos",
-            wal_faults={"append": ChaosSpec(kind="torn", times=1)},
+        chaos = Chaos(
+            tmp_path / "chaos",
+            log={"append": ChaosSpec(kind="torn", times=1)},
         )
         wal = self.make_log(tmp_path / "w.jsonl")
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             wal.append({"job": "a", "ev": "submitted"})  # torn on disk
             wal.append({"job": "b", "ev": "submitted"})
         records, _ = wal.replay(0)

@@ -8,7 +8,7 @@ from repro.mpde import Axis, MPDEGrid, decompose_waveform
 from repro.netlist import Circuit, DC, MultiTone, Sine, SquareWave
 
 from .stamp_reference import assert_block_pattern_matches_coo
-from .test_mpde_methods import _pc_host
+from .test_mpde_methods import _pc_host, small_mixer
 
 
 class TestAxis:
@@ -288,11 +288,11 @@ class TestCoreHelpers:
         assert (rows.size, np.unique(rows * system.n + cols).size) == (102, 68)
 
     def test_block_diag_assembly(self):
-        from repro.mpde.mpde_core import _block_diag_sparse
+        from repro.mpde.mpde_core import _BlockDiagPattern
 
         pattern = (np.array([0, 1, 1]), np.array([0, 0, 1]))
         vals = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-        M = _block_diag_sparse(pattern, vals, n=2, m=2).toarray()
+        M = _BlockDiagPattern(pattern, n=2, m=2).matrix(vals).toarray()
         expect = np.array(
             [
                 [1.0, 0, 0, 0],
@@ -331,3 +331,42 @@ class TestCoreHelpers:
         ax = Axis("fd", 1.0, 64)
         D = _circulant_matrix(ax.deriv_eigenvalues())
         assert D.nnz == 2 * 64  # backward difference: two bands
+
+
+def _spectrum_by_bin(sol, node):
+    """Reference for ``MPDESolution.spectrum``: one grid bin at a time."""
+    H = sol.harmonics(node)
+    out = {}
+    for flat_idx in range(H.size):
+        multi = np.unravel_index(flat_idx, H.shape)
+        f_phys = 0.0
+        for a, ax in enumerate(sol.grid.axes):
+            k = np.fft.fftfreq(ax.size, d=1.0 / ax.size)[multi[a]]
+            f_phys += k * ax.freq
+        key = abs(round(f_phys, 6))
+        out[key] = out.get(key, 0.0) + abs(H[multi])
+    return sorted(out.items())
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("case", ["modulator-hb", "mfdtd"])
+    def test_matches_per_bin_reference(self, case):
+        from repro.hb import harmonic_balance
+        from repro.mpde import solve_mfdtd
+        from repro.rf import ModulatorSpec
+
+        if case == "modulator-hb":
+            spec = ModulatorSpec()
+            sol = harmonic_balance(
+                _modulator(), freqs=[spec.f_bb, spec.f_ref], harmonics=[3, 10]
+            ).solution
+            node = "rfp"
+        else:
+            sol = solve_mfdtd(small_mixer(), freqs=[100e3, 10e6], sizes=[8, 32])
+            assert [ax.kind for ax in sol.grid.axes] == ["fd", "fd"]
+            node = "out"
+        got, ref = sol.spectrum(node), _spectrum_by_bin(sol, node)
+        assert [f for f, _ in got] == [f for f, _ in ref]
+        np.testing.assert_allclose(
+            [a for _, a in got], [a for _, a in ref], rtol=1e-14, atol=0
+        )

@@ -337,8 +337,8 @@ class TestHBSensitivity:
         """Jᵀw from FFT circulant adjoint == assembled J.T @ w."""
         from repro.mpde.mpde_core import (
             MPDEOptions,
+            _BlockDiagPattern,
             _MPDEProblem,
-            _block_diag_sparse,
         )
 
         system, sol = hb_solution
@@ -348,8 +348,8 @@ class TestHBSensitivity:
         prob = _MPDEProblem(system, grid, None, MPDEOptions())
         cols = grid.columns(x, n)
         g_vals, c_vals = system.batch_jacobians(cols)
-        G_big = _block_diag_sparse(prob.pattern, g_vals, n, grid.total)
-        C_big = _block_diag_sparse(prob.pattern, c_vals, n, grid.total)
+        blocks = _BlockDiagPattern(prob.pattern, n, grid.total)
+        G_big, C_big = blocks.matrix(g_vals), blocks.matrix(c_vals)
         J = prob.direct_jacobian(G_big, C_big)
 
         G_bigT, C_bigT = G_big.T.tocsr(), C_big.T.tocsr()
@@ -518,12 +518,12 @@ class TestExplore:
         assert before == after
 
     def test_skip_slots_become_nan(self, tmp_path):
-        from repro.robust import ChaosSpec, SweepChaos, chaos_sweeps
+        from repro.robust import Chaos, ChaosSpec, chaos_scope
 
         system = _explore_system()
         pts = _corner_grid(3)
-        chaos = SweepChaos({2: ChaosSpec(kind="error", times=99)}, tmp_path)
-        with chaos_sweeps(chaos):
+        chaos = Chaos(tmp_path, items={2: ChaosSpec(kind="error", times=99)})
+        with chaos_scope(chaos):
             res = explore(
                 system, EXPLORE_PARAMS, "b", pts,
                 sweep_options={"on_item_failure": "skip", "retries": 0},

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.robust import ChaosSpec, ServeChaos, chaos_serve, tear_final_line
+from repro.robust import Chaos, ChaosSpec, chaos_scope, tear_final_line
 from repro.serve import (
     JobSpec,
     ServiceConfig,
@@ -271,18 +271,18 @@ class TestService:
 
 class TestRetryDeadLetter:
     def test_transient_fault_retries_to_done(self, tmp_path):
-        chaos = ServeChaos(
-            {"rc lowpass": ChaosSpec(kind="error", times=1)},
+        chaos = Chaos(
             tmp_path / "chaos",
+            jobs={"rc lowpass": ChaosSpec(kind="error", times=1)},
         )
         svc = open_service(tmp_path / "s", backoff_base=0.01)
         res = svc.submit(RC, "dc")
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             svc.drain()
         rec = svc.status(res.job_id)
         assert rec["state"] == "done"
         assert rec["attempts"] == 2
-        assert chaos.attempts("rc lowpass") == 2
+        assert chaos.count("jobs", "rc lowpass") == 2
 
     def test_poison_job_goes_to_dead_letter(self, tmp_path):
         svc = open_service(tmp_path / "s", max_retries=1, backoff_base=0.01)
@@ -298,15 +298,15 @@ class TestRetryDeadLetter:
         assert json.loads(quarantine.read_text())["job_id"] == res.job_id
 
     def test_requeue_dead_runs_again(self, tmp_path):
-        chaos = ServeChaos(
+        chaos = Chaos(
+            tmp_path / "chaos",
             # attempts 1+2 fail (the whole retry budget); attempt 3 —
             # which only a requeue can grant — runs clean
-            {"rc lowpass": ChaosSpec(kind="error", times=2)},
-            tmp_path / "chaos",
+            jobs={"rc lowpass": ChaosSpec(kind="error", times=2)},
         )
         svc = open_service(tmp_path / "s", max_retries=1, backoff_base=0.01)
         res = svc.submit(RC, "dc")
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             svc.drain()
             assert svc.status(res.job_id)["state"] == "dead"
             requeued = svc.requeue_dead()
@@ -413,11 +413,11 @@ class TestServiceChaos:
         assert all(s.state == "queued" for s in submitted)
 
         # first execution of the marked job hangs "forever"
-        chaos = ServeChaos(
-            {"marker-hang": ChaosSpec(kind="hang", duration=600.0, times=1)},
+        chaos = Chaos(
             state,
+            jobs={"marker-hang": ChaosSpec(kind="hang", duration=600.0, times=1)},
         )
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             procs = svc.spawn_workers(2, max_seconds=120)
             # wait until some worker is visibly stuck on the hang job
             victim = None
@@ -439,7 +439,7 @@ class TestServiceChaos:
         rec = svc.status(submitted[0].job_id)
         assert rec["state"] == "done"
         assert rec["lease_reclaimed"] >= 1
-        assert chaos.attempts("marker-hang") == 2  # killed once, replayed
+        assert chaos.count("jobs", "marker-hang") == 2  # killed once, replayed
 
         # now tear the WAL's final line and restart the service
         assert tear_final_line(root / "wal.jsonl") > 0
@@ -473,7 +473,7 @@ class TestServiceChaos:
         assert summary["events"].get("serve.cache_hit") == 20
 
     def test_worker_crash_chaos_recovers(self, tmp_path):
-        """ServeChaos 'crash' (os._exit in the worker) on one job: the
+        """A chaos 'crash' (os._exit in the worker) on one job: the
         batch still completes via lease reclaim on a fresh attempt."""
         root = tmp_path / "s"
         svc = open_service(root, lease_ttl=2.0, max_retries=2,
@@ -481,11 +481,11 @@ class TestServiceChaos:
         crashy = rc_variant(60) + "* marker-crash\n"
         cj = svc.submit(crashy, "dc", label="crashy")
         rest = [svc.submit(rc_variant(i), "dc") for i in range(5)]
-        chaos = ServeChaos(
-            {"marker-crash": ChaosSpec(kind="crash", times=1)},
+        chaos = Chaos(
             tmp_path / "chaos",
+            jobs={"marker-crash": ChaosSpec(kind="crash", times=1)},
         )
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             procs = svc.spawn_workers(2, max_seconds=60)
             assert svc.wait(timeout=60), f"not drained: {svc.summary()}"
             for p in procs:
@@ -496,12 +496,12 @@ class TestServiceChaos:
         assert all(svc.status(r.job_id)["state"] == "done" for r in rest)
 
     def test_disk_full_on_submit_fails_loudly(self, tmp_path):
-        chaos = ServeChaos(
-            state_dir=tmp_path / "chaos",
-            wal_faults={"append": ChaosSpec(kind="disk_full", times=1)},
+        chaos = Chaos(
+            tmp_path / "chaos",
+            log={"append": ChaosSpec(kind="disk_full", times=1)},
         )
         svc = open_service(tmp_path / "s")
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             with pytest.raises(WALError):
                 svc.submit(RC, "dc")
             res = svc.submit(RC, "dc")  # schedule spent: succeeds
@@ -510,12 +510,12 @@ class TestServiceChaos:
         assert svc.status(res.job_id)["state"] == "done"
 
     def test_torn_submit_event_is_not_a_job(self, tmp_path):
-        chaos = ServeChaos(
-            state_dir=tmp_path / "chaos",
-            wal_faults={"append": ChaosSpec(kind="torn", times=1)},
+        chaos = Chaos(
+            tmp_path / "chaos",
+            log={"append": ChaosSpec(kind="torn", times=1)},
         )
         svc = open_service(tmp_path / "s")
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             ghost = svc.submit(RC, "dc")
         # the submitted event was torn: not durably enqueued
         assert svc.status(ghost.job_id) is None
@@ -662,32 +662,32 @@ class TestStoreDurability:
         """A put torn mid-write (power-loss model) raises; the retry
         ladder quarantines the damage and the next attempt records a
         clean result."""
-        chaos = ServeChaos(
-            store_faults={"put": ChaosSpec(kind="torn", times=1)},
-            state_dir=tmp_path / "chaos",
+        chaos = Chaos(
+            tmp_path / "chaos",
+            store={"put": ChaosSpec(kind="torn", times=1)},
         )
         svc = open_service(tmp_path / "s", backoff_base=0.01, max_retries=2)
         res = svc.submit(RC, "dc")
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             svc.drain()
         rec = svc.status(res.job_id)
         assert rec["state"] == "done"
         assert rec["attempts"] == 2  # torn put burned one attempt
-        assert chaos.store_ops("put") >= 2
+        assert chaos.count("store", "put") >= 2
         assert svc.queue.store.get(res.key) is not None
 
     def test_crash_mid_put_never_publishes(self, tmp_path):
         """SIGKILL between the fsync'd temp write and publication: the
         final name must not exist, and a resubmission recomputes a
         bit-identical result (the acceptance scenario)."""
-        chaos = ServeChaos(
-            store_faults={"put": ChaosSpec(kind="crash", times=1, exit_code=86)},
-            state_dir=tmp_path / "chaos",
+        chaos = Chaos(
+            tmp_path / "chaos",
+            store={"put": ChaosSpec(kind="crash", times=1, exit_code=86)},
         )
         svc = open_service(tmp_path / "s", lease_ttl=30.0, max_retries=2,
                            backoff_base=0.01)
         res = svc.submit(RC, "dc")
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             procs = svc.spawn_workers(1, max_seconds=60)
             procs[0].join(timeout=60)
             # the worker died inside put(): no published payload, and

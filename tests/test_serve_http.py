@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.robust import ChaosSpec, ServeChaos, chaos_serve
+from repro.robust import Chaos, ChaosSpec, chaos_scope
 from repro.serve import (
     ServeClient,
     ServeClientError,
@@ -306,16 +306,16 @@ class TestResultTransport:
 
 class TestHTTPChaos:
     def test_dropped_connection_is_retried(self, tmp_path, server):
-        chaos = ServeChaos(
-            http_faults={"/jobs": ChaosSpec(kind="drop", times=2)},
-            state_dir=tmp_path / "chaos",
+        chaos = Chaos(
+            tmp_path / "chaos",
+            http={"/jobs": ChaosSpec(kind="drop", times=2)},
         )
         c = ServeClient(server.address, retries=4, backoff_base=0.01)
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             v = c.submit(RC, "dc")
         assert v["state"] == "queued"
         assert c.stats["retries"] >= 2
-        assert chaos.http_ops("/jobs") >= 2
+        assert chaos.count("http", "/jobs") >= 2
         assert server.counters["chaos"] >= 2
 
     def test_torn_response_fails_verification_then_recovers(
@@ -324,12 +324,12 @@ class TestHTTPChaos:
         v = ServeClient(server.address, retries=0).submit(RC, "dc")
         server.service.drain()
         key = server.service.status(v["job_id"])["key"]
-        chaos = ServeChaos(
-            http_faults={"/results/": ChaosSpec(kind="torn", times=1)},
-            state_dir=tmp_path / "chaos",
+        chaos = Chaos(
+            tmp_path / "chaos",
+            http={"/results/": ChaosSpec(kind="torn", times=1)},
         )
         c = ServeClient(server.address, retries=4, backoff_base=0.01)
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             blob, _ = c.result_blob(key)
         assert pickle.loads(blob)["x"] is not None
         # the torn attempt either died as a short read or failed the
@@ -337,12 +337,12 @@ class TestHTTPChaos:
         assert c.stats["requests"] >= 2
 
     def test_injected_500_is_surfaced(self, tmp_path, server):
-        chaos = ServeChaos(
-            http_faults={"/stats": ChaosSpec(kind="error", times=1)},
-            state_dir=tmp_path / "chaos",
+        chaos = Chaos(
+            tmp_path / "chaos",
+            http={"/stats": ChaosSpec(kind="error", times=1)},
         )
         c = ServeClient(server.address, retries=0)
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             with pytest.raises(ServeClientError) as err:
                 c.server_stats()
             assert err.value.status == 500
@@ -354,12 +354,12 @@ class TestHTTPChaos:
         v = ServeClient(server.address, retries=0).submit(RC, "dc")
         server.service.drain()
         key = server.service.status(v["job_id"])["key"]
-        chaos = ServeChaos(
-            http_faults={"/results/": ChaosSpec(kind="torn", times=99)},
-            state_dir=tmp_path / "chaos",
+        chaos = Chaos(
+            tmp_path / "chaos",
+            http={"/results/": ChaosSpec(kind="torn", times=99)},
         )
         c = ServeClient(server.address, retries=2, backoff_base=0.01)
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             with pytest.raises(ServeResultError):
                 c.result_blob(key)
         assert c.stats["verify_failures"] + c.stats["retries"] >= 2

@@ -2,7 +2,7 @@
 
 Exercises the resilient engine behind ``repro.perf.sweep_map`` — per-item
 deadlines, bounded deterministic retry, quarantine, checkpoint/resume,
-crashed-worker replacement — against the :class:`~repro.robust.SweepChaos`
+crashed-worker replacement — against the :class:`~repro.robust.Chaos`
 harness, which injects transient errors, hangs, and hard ``os._exit``
 worker crashes on a deterministic per-item schedule.  Also locks down the
 two headline guarantees:
@@ -46,23 +46,20 @@ from repro.perf import (
     resolve_timeout,
     sweep_map,
 )
+from repro.perf import sweep as sweep_mod
 from repro.perf.sweep import (
-    CHECKPOINT_COMPACT_ENV,
     CHECKPOINT_ENV,
     CHECKPOINT_KEY_ENV,
     MAX_ITEM_RECORDS_ENV,
     RETRIES_ENV,
     TIMEOUT_ENV,
-    resolve_checkpoint_compact,
     resolve_max_item_records,
 )
 from repro.robust import (
+    Chaos,
     ChaosSpec,
-    ServeChaos,
-    SweepChaos,
     TransientFault,
-    chaos_serve,
-    chaos_sweeps,
+    chaos_scope,
     tear_final_line,
 )
 
@@ -230,7 +227,21 @@ class TestKnobResolution:
         with pytest.raises(ValueError, match="times"):
             ChaosSpec(times=0)
         with pytest.raises(TypeError):
-            SweepChaos({0: "crash"}, tmp_path)
+            Chaos(tmp_path, items={0: "crash"})
+
+    def test_item_faults_take_task_kinds_only(self, tmp_path):
+        with pytest.raises(ValueError, match="items fault 0"):
+            Chaos(tmp_path, items={0: ChaosSpec(kind="disk_full")})
+
+    def test_harness_without_item_faults_leaves_sweeps_unarmed(self, tmp_path):
+        plain = {}
+        sweep_map(_square, [1, 2, 3], stats=plain)
+        chaos = Chaos(tmp_path, log={"append": ChaosSpec(kind="disk_full")})
+        stats = {}
+        with chaos_scope(chaos):
+            assert sweep_map(_square, [1, 2, 3], stats=stats) == [1, 4, 9]
+        assert stats.keys() == plain.keys()
+        assert "items" not in stats
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +260,14 @@ class TestFailurePolicies:
         assert ledger[0]["status"] == ledger[2]["status"] == "ok"
 
     def test_retry_recovers_transient(self, tmp_path):
-        chaos = SweepChaos({1: ChaosSpec(kind="error")}, tmp_path)
+        chaos = Chaos(tmp_path, items={1: ChaosSpec(kind="error")})
         stats = {}
-        with chaos_sweeps(chaos):
+        with chaos_scope(chaos):
             out = sweep_map(
                 _square, [1, 2, 3], on_item_failure="retry", stats=stats
             )
         assert out == [1, 4, 9]
-        assert chaos.attempts(1) == 2
+        assert chaos.count("items", 1) == 2
         assert stats["retried"] == 1
         ledger = {r["index"]: r for r in stats["items"]}
         assert ledger[1]["status"] == "ok"
@@ -267,12 +278,12 @@ class TestFailurePolicies:
         assert "TransientFault" in ledger[1]["failure_cause"]
 
     def test_retry_exhausted_raises_transient(self, tmp_path):
-        chaos = SweepChaos({1: ChaosSpec(kind="error", times=5)}, tmp_path)
+        chaos = Chaos(tmp_path, items={1: ChaosSpec(kind="error", times=5)})
         stats = {}
-        with chaos_sweeps(chaos):
+        with chaos_scope(chaos):
             with pytest.raises(TransientFault):
                 sweep_map(_square, [1, 2, 3], on_item_failure="retry", stats=stats)
-        assert chaos.attempts(1) == 2  # first try + the single default retry
+        assert chaos.count("items", 1) == 2  # first try + the single default retry
         ledger = {r["index"]: r for r in stats["items"]}
         assert ledger[1]["status"] == "failed"
 
@@ -292,20 +303,20 @@ class TestFailurePolicies:
         assert stats["retried"] == 0
 
     def test_raise_mode_with_chaos_propagates(self, tmp_path):
-        chaos = SweepChaos({0: ChaosSpec(kind="error", times=99)}, tmp_path)
-        with chaos_sweeps(chaos):
+        chaos = Chaos(tmp_path, items={0: ChaosSpec(kind="error", times=99)})
+        with chaos_scope(chaos):
             with pytest.raises(TransientFault):
                 sweep_map(_square, [1, 2, 3])
 
     def test_quarantined_poison_item(self, tmp_path):
-        chaos = SweepChaos({2: ChaosSpec(kind="error", times=99)}, tmp_path)
+        chaos = Chaos(tmp_path, items={2: ChaosSpec(kind="error", times=99)})
         stats = {}
-        with chaos_sweeps(chaos):
+        with chaos_scope(chaos):
             out = sweep_map(
                 _square, [1, 2, 3, 4], on_item_failure="skip", retries=2, stats=stats
             )
         assert out == [1, 4, None, 16]
-        assert chaos.attempts(2) == 3  # first try + two retries
+        assert chaos.count("items", 2) == 3  # first try + two retries
         assert stats["quarantined"] == 1
         assert stats["retried"] == 2
 
@@ -315,10 +326,10 @@ class TestFailurePolicies:
 # ---------------------------------------------------------------------------
 class TestDeadlines:
     def test_serial_signal_enforced(self, tmp_path):
-        chaos = SweepChaos({1: ChaosSpec(kind="hang", duration=5.0)}, tmp_path)
+        chaos = Chaos(tmp_path, items={1: ChaosSpec(kind="hang", duration=5.0)})
         stats = {}
         t0 = time.monotonic()
-        with chaos_sweeps(chaos):
+        with chaos_scope(chaos):
             out = sweep_map(
                 _square,
                 [1, 2, 3],
@@ -336,10 +347,10 @@ class TestDeadlines:
         assert "signal" in ledger[1]["failure_cause"]
 
     def test_thread_backend_abandons_stuck_item(self, tmp_path):
-        chaos = SweepChaos({0: ChaosSpec(kind="hang", duration=1.5)}, tmp_path)
+        chaos = Chaos(tmp_path, items={0: ChaosSpec(kind="hang", duration=1.5)})
         stats = {}
         t0 = time.monotonic()
-        with chaos_sweeps(chaos):
+        with chaos_scope(chaos):
             out = sweep_map(
                 _square,
                 [1, 2, 3, 4],
@@ -400,10 +411,10 @@ class TestDeadlines:
         assert ledger[2]["attempts"] == 1
 
     def test_process_backend_worker_alarm(self, tmp_path):
-        chaos = SweepChaos({2: ChaosSpec(kind="hang", duration=30.0)}, tmp_path)
+        chaos = Chaos(tmp_path, items={2: ChaosSpec(kind="hang", duration=30.0)})
         stats = {}
         t0 = time.monotonic()
-        with chaos_sweeps(chaos):
+        with chaos_scope(chaos):
             out = sweep_map(
                 _square,
                 [1, 2, 3, 4],
@@ -421,8 +432,8 @@ class TestDeadlines:
         assert "signal" in ledger[2]["failure_cause"]
 
     def test_timeout_without_retry_raises(self, tmp_path):
-        chaos = SweepChaos({1: ChaosSpec(kind="hang", duration=5.0)}, tmp_path)
-        with chaos_sweeps(chaos):
+        chaos = Chaos(tmp_path, items={1: ChaosSpec(kind="hang", duration=5.0)})
+        with chaos_scope(chaos):
             with pytest.raises(SweepItemTimeout) as exc_info:
                 sweep_map(_square, [1, 2, 3], backend="serial", timeout=0.3)
         assert exc_info.value.index == 1
@@ -438,9 +449,9 @@ class TestWorkerCrashes:
         bit-identical to a fault-free serial run."""
         items = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
         reference = [_spectrum(x) for x in items]
-        chaos = SweepChaos({3: ChaosSpec(kind="crash")}, tmp_path)
+        chaos = Chaos(tmp_path, items={3: ChaosSpec(kind="crash")})
         stats = {}
-        with chaos_sweeps(chaos):
+        with chaos_scope(chaos):
             got = sweep_map(
                 _spectrum,
                 items,
@@ -449,7 +460,7 @@ class TestWorkerCrashes:
                 on_item_failure="retry",
                 stats=stats,
             )
-        assert chaos.attempts(3) == 2  # crashed once, replayed once
+        assert chaos.count("items", 3) == 2  # crashed once, replayed once
         assert stats["pool_replacements"] >= 1
         assert len(got) == len(reference)
         for r, g in zip(reference, got):
@@ -458,9 +469,9 @@ class TestWorkerCrashes:
         assert all(ledger[i]["status"] == "ok" for i in range(len(items)))
 
     def test_persistent_crasher_is_quarantined(self, tmp_path):
-        chaos = SweepChaos({1: ChaosSpec(kind="crash", times=99)}, tmp_path)
+        chaos = Chaos(tmp_path, items={1: ChaosSpec(kind="crash", times=99)})
         stats = {}
-        with chaos_sweeps(chaos):
+        with chaos_scope(chaos):
             out = sweep_map(
                 _square,
                 [1, 2, 3, 4],
@@ -483,15 +494,15 @@ class TestWorkerCrashes:
         (at most one per worker) become suspects; their chunk-mates
         are resubmitted free."""
         items = list(range(200))
-        chaos = SweepChaos({137: ChaosSpec(kind="crash")}, tmp_path)
+        chaos = Chaos(tmp_path, items={137: ChaosSpec(kind="crash")})
         stats = {}
-        with chaos_sweeps(chaos):
+        with chaos_scope(chaos):
             out = sweep_map(
                 _square, items, workers=4, backend="process", chunksize=5,
                 stats=stats,
             )
         assert out == [x * x for x in items]
-        assert chaos.attempts(137) == 2
+        assert chaos.count("items", 137) == 2
         assert stats["pool_replacements"] == 1
         attempts = {r["index"]: r["attempts"] for r in stats["items"]}
         assert attempts[137] == 2
@@ -567,8 +578,8 @@ class TestCheckpoint:
         fn = _Counted(marker)
         items = list(range(6))
 
-        chaos = SweepChaos({3: ChaosSpec(kind="error", times=99)}, tmp_path / "c")
-        with chaos_sweeps(chaos):
+        chaos = Chaos(tmp_path / "c", items={3: ChaosSpec(kind="error", times=99)})
+        with chaos_scope(chaos):
             with pytest.raises(TransientFault):
                 sweep_map(fn, items, backend="serial", checkpoint=ck)
         assert _calls(marker) == 3  # items 0..2 executed before the abort
@@ -690,14 +701,37 @@ class TestCheckpoint:
         """An append the disk refuses costs the item its checkpoint
         line, not its result."""
         ck = str(tmp_path / "ck.jsonl")
-        chaos = ServeChaos(
-            state_dir=tmp_path / "chaos",
-            wal_faults={"append": ChaosSpec(kind="disk_full", times=1)},
+        chaos = Chaos(
+            tmp_path / "chaos",
+            log={"append": ChaosSpec(kind="disk_full", times=1)},
         )
         stats = {}
-        with chaos_serve(chaos):
+        with chaos_scope(chaos):
             out = sweep_map(_square, [1, 2, 3], checkpoint=ck, stats=stats)
         assert out == [1, 4, 9]
+        assert stats["checkpoint"]["saved"] == 2
+        stats = {}
+        sweep_map(_square, [1, 2, 3], checkpoint=ck, stats=stats)
+        assert stats["cached"] == 2
+
+    def test_one_harness_strikes_an_item_and_its_checkpoint(self, tmp_path):
+        """Item and log faults from one schedule: the failed item is
+        retried, and the refused append leaves one line unsaved."""
+        ck = str(tmp_path / "ck.jsonl")
+        chaos = Chaos(
+            tmp_path / "chaos",
+            items={1: ChaosSpec(kind="error")},
+            log={"append": ChaosSpec(kind="disk_full", times=1)},
+        )
+        stats = {}
+        with chaos_scope(chaos):
+            out = sweep_map(
+                _square, [1, 2, 3], checkpoint=ck, on_item_failure="retry", stats=stats
+            )
+        assert out == [1, 4, 9]
+        assert stats["retried"] == 1
+        assert chaos.count("items", 1) == 2
+        assert chaos.count("log", "append") == 3
         assert stats["checkpoint"]["saved"] == 2
         stats = {}
         sweep_map(_square, [1, 2, 3], checkpoint=ck, stats=stats)
@@ -782,7 +816,6 @@ class TestPoolReplacementBudget:
         breadcrumbs (e.g. a crashing worker initializer), the engine
         must stop replacing pools after its budget and finish the sweep
         on the serial drain rather than spin forever."""
-        from repro.perf import sweep as sweep_mod
 
         def broken_submit(self, chunk):
             self._charge(chunk)
@@ -804,7 +837,6 @@ class TestPoolReplacementBudget:
         """A platform that refuses to start a worker (process or thread
         limits) is not a crash: the sweep finishes serially, without
         replacing pools or charging the refused attempts."""
-        from repro.perf import sweep as sweep_mod
 
         def refused_submit(self, chunk):
             self._charge(chunk)
@@ -899,12 +931,12 @@ class TestFaultModeFallbacks:
             sweep_map(fn, [1, 2, 3], workers=2, backend="process", timeout=60.0)
 
     def test_mixed_outcomes_keep_item_order(self, tmp_path):
-        chaos = SweepChaos(
-            {1: ChaosSpec(kind="error"), 3: ChaosSpec(kind="error", times=99)},
+        chaos = Chaos(
             tmp_path,
+            items={1: ChaosSpec(kind="error"), 3: ChaosSpec(kind="error", times=99)},
         )
         stats = {}
-        with chaos_sweeps(chaos):
+        with chaos_scope(chaos):
             out = sweep_map(
                 _square,
                 [1, 2, 3, 4, 5],
@@ -965,8 +997,8 @@ class TestTraceRollup:
         path = str(tmp_path / "trace.jsonl")
         enable(path)
         try:
-            chaos = SweepChaos({1: ChaosSpec(kind="error")}, tmp_path / "c")
-            with chaos_sweeps(chaos):
+            chaos = Chaos(tmp_path / "c", items={1: ChaosSpec(kind="error")})
+            with chaos_scope(chaos):
                 out = sweep_map(
                     _square,
                     [1, 2, 3, 4],
@@ -1004,15 +1036,15 @@ class TestConsumersUnderChaos:
         freqs = [1e3, 1e5, 1e7]
         clean = ac_analysis(rc_lowpass, "V1", freqs)
         stats = {}
-        chaos = SweepChaos({0: ChaosSpec(kind="error")}, tmp_path)
-        with chaos_sweeps(chaos):
+        chaos = Chaos(tmp_path, items={0: ChaosSpec(kind="error")})
+        with chaos_scope(chaos):
             chaotic = ac_analysis(
                 rc_lowpass,
                 "V1",
                 freqs,
                 sweep_options={"on_item_failure": "retry", "stats": stats},
             )
-        assert chaos.attempts(0) == 2
+        assert chaos.count("items", 0) == 2
         assert stats["retried"] == 1
         np.testing.assert_array_equal(clean.X, chaotic.X)
 
@@ -1028,12 +1060,12 @@ class TestConsumersUnderChaos:
         system = ckt.compile()
         points = [{"harmonics": [2]}, {"harmonics": [3]}]
         clean = hb_sweep(system, points, freqs=[1e6])
-        chaos = SweepChaos({0: ChaosSpec(kind="error")}, tmp_path)
-        with chaos_sweeps(chaos):
+        chaos = Chaos(tmp_path, items={0: ChaosSpec(kind="error")})
+        with chaos_scope(chaos):
             chaotic = hb_sweep(
                 system, points, sweep_options=dict(self.RETRY), freqs=[1e6]
             )
-        assert chaos.attempts(0) == 2
+        assert chaos.count("items", 0) == 2
         for a, b in zip(clean, chaotic):
             np.testing.assert_array_equal(a.solution.x, b.solution.x)
 
@@ -1044,12 +1076,12 @@ class TestConsumersUnderChaos:
         vdp = VanDerPol(mu=0.2, sigma=0.05)
         x0 = np.array([2.0, 0.0])
         _, clean = simulate_sde_ensemble(vdp, x0, 5.0, 100, 64, seed=7)
-        chaos = SweepChaos({0: ChaosSpec(kind="error")}, tmp_path)
-        with chaos_sweeps(chaos):
+        chaos = Chaos(tmp_path, items={0: ChaosSpec(kind="error")})
+        with chaos_scope(chaos):
             _, chaotic = simulate_sde_ensemble(
                 vdp, x0, 5.0, 100, 64, seed=7, sweep_options=dict(self.RETRY)
             )
-        assert chaos.attempts(0) == 2
+        assert chaos.count("items", 0) == 2
         np.testing.assert_array_equal(clean, chaotic)
 
     def test_rom_transfer(self, tmp_path):
@@ -1064,10 +1096,10 @@ class TestConsumersUnderChaos:
         desc = port_descriptor(ckt.compile(), ["P1"])
         s_vals = 2j * np.pi * np.logspace(6, 9, 4)
         clean = desc.transfer(s_vals)
-        chaos = SweepChaos({0: ChaosSpec(kind="error")}, tmp_path)
-        with chaos_sweeps(chaos):
+        chaos = Chaos(tmp_path, items={0: ChaosSpec(kind="error")})
+        with chaos_scope(chaos):
             chaotic = desc.transfer(s_vals, sweep_options=dict(self.RETRY))
-        assert chaos.attempts(0) == 2
+        assert chaos.count("items", 0) == 2
         np.testing.assert_array_equal(clean, chaotic)
 
     def test_em_fast_extraction(self, tmp_path):
@@ -1076,12 +1108,12 @@ class TestConsumersUnderChaos:
 
         panels = conductor_bus(2, 2e-6, 60e-6, 6e-6, 1, 8)
         clean = capacitance_matrix_fast(panels, leaf_size=4)
-        chaos = SweepChaos({0: ChaosSpec(kind="error")}, tmp_path)
-        with chaos_sweeps(chaos):
+        chaos = Chaos(tmp_path, items={0: ChaosSpec(kind="error")})
+        with chaos_scope(chaos):
             chaotic = capacitance_matrix_fast(
                 panels, leaf_size=4, sweep_options=dict(self.RETRY)
             )
-        assert chaos.attempts(0) >= 2  # faulted once, then clean re-runs
+        assert chaos.count("items", 0) >= 2  # faulted once, then clean re-runs
         np.testing.assert_array_equal(clean.cap_matrix, chaotic.cap_matrix)
 
 
@@ -1195,8 +1227,8 @@ def _run_sweep_to_death(marker, ck, chaos_dir):
     """Child-process entry: serial checkpointed sweep whose chaos
     schedule ``os._exit``'s the process at item 3 — a SIGKILL stand-in
     that skips every cleanup path, exactly like the real signal."""
-    chaos = SweepChaos({3: ChaosSpec(kind="crash", times=1)}, chaos_dir)
-    with chaos_sweeps(chaos):
+    chaos = Chaos(chaos_dir, items={3: ChaosSpec(kind="crash", times=1)})
+    with chaos_scope(chaos):
         sweep_map(_Counted(marker), list(range(6)), backend="serial",
                   checkpoint=ck)
 
@@ -1243,7 +1275,7 @@ class TestCheckpointCompaction:
         sweep_map(_square, [1, 2, 3], checkpoint=str(ck))
         self._bloat(ck, 200)
         big = ck.stat().st_size
-        monkeypatch.setenv(CHECKPOINT_COMPACT_ENV, "4096")
+        monkeypatch.setattr(sweep_mod, "_COMPACT_BYTES", 4096)
         stats = {}
         out = sweep_map(_square, [1, 2, 3], checkpoint=str(ck), stats=stats)
         assert out == [1, 4, 9]
@@ -1267,15 +1299,16 @@ class TestCheckpointCompaction:
             else:
                 monkeypatch.setenv(CHECKPOINT_KEY_ENV, key)
 
+        default_budget = sweep_mod._COMPACT_BYTES
         for square_key, cube_key in ((None, None), ("key-b", "key-a")):
             ck = tmp_path / f"ck-{square_key}.jsonl"
-            monkeypatch.delenv(CHECKPOINT_COMPACT_ENV, raising=False)
+            monkeypatch.setattr(sweep_mod, "_COMPACT_BYTES", default_budget)
             use_key(square_key)
             sweep_map(_square, [1, 2, 3], checkpoint=str(ck))
             use_key(cube_key)
             sweep_map(_cube, [1, 2, 3], checkpoint=str(ck))
             self._bloat(ck, 100)
-            monkeypatch.setenv(CHECKPOINT_COMPACT_ENV, "1024")
+            monkeypatch.setattr(sweep_mod, "_COMPACT_BYTES", 1024)
             use_key(square_key)
             stats = {}
             sweep_map(_square, [1, 2, 3], checkpoint=str(ck), stats=stats)
@@ -1287,28 +1320,19 @@ class TestCheckpointCompaction:
             assert out == [1, 8, 27]
             assert stats2["cached"] == 3  # cube records survived verbatim
 
-    def test_zero_disables_compaction(self, monkeypatch, tmp_path):
+    def test_under_budget_checkpoint_is_kept(self, tmp_path):
+        """Superseded lines alone do not trigger a rewrite: the file
+        must also exceed the size budget."""
         ck = tmp_path / "ck.jsonl"
         sweep_map(_square, [1, 2, 3], checkpoint=str(ck))
         self._bloat(ck, 50)
         size = ck.stat().st_size
-        monkeypatch.setenv(CHECKPOINT_COMPACT_ENV, "0")
+        assert size < sweep_mod._COMPACT_BYTES
         stats = {}
         sweep_map(_square, [1, 2, 3], checkpoint=str(ck), stats=stats)
         assert stats["cached"] == 3
         assert ck.stat().st_size == size
         assert "compacted" not in stats["checkpoint"]
-
-    def test_budget_resolution(self, monkeypatch):
-        assert resolve_checkpoint_compact(8192) == 8192
-        assert resolve_checkpoint_compact(0) == 0
-        monkeypatch.setenv(CHECKPOINT_COMPACT_ENV, "1e6")
-        assert resolve_checkpoint_compact() == 10 ** 6
-        with pytest.raises(ValueError):
-            resolve_checkpoint_compact(-1)
-        monkeypatch.setenv(CHECKPOINT_COMPACT_ENV, "not-a-size")
-        with pytest.raises(ValueError):
-            resolve_checkpoint_compact()
 
 
 # ---------------------------------------------------------------------------

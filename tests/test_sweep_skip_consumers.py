@@ -16,21 +16,21 @@ import pytest
 
 from repro.analysis.ac import ac_analysis
 from repro.perf import SkippedSlot, SweepItemSkipped
-from repro.robust import ChaosSpec, SweepChaos, chaos_sweeps
+from repro.robust import Chaos, ChaosSpec, chaos_scope
 
 SKIP = {"on_item_failure": "skip", "retries": 0}
 
 
 def _persistent_fault(index, tmp_path):
     """A fault that never heals: retries exhaust, the engine skips."""
-    return SweepChaos({index: ChaosSpec(kind="error", times=99)}, tmp_path)
+    return Chaos(tmp_path, items={index: ChaosSpec(kind="error", times=99)})
 
 
 class TestACSkip:
     def test_nan_column_and_note(self, rc_lowpass, tmp_path):
         freqs = [1e3, 1e5, 1e7]
         clean = ac_analysis(rc_lowpass, "V1", freqs)
-        with chaos_sweeps(_persistent_fault(1, tmp_path)):
+        with chaos_scope(_persistent_fault(1, tmp_path)):
             res = ac_analysis(rc_lowpass, "V1", freqs, sweep_options=dict(SKIP))
         assert res.skipped == (1,)
         assert np.all(np.isnan(res.X[:, 1]))
@@ -61,7 +61,7 @@ class TestHBSweepSkip:
 
         system = self._system()
         points = [{"harmonics": [2]}, {"harmonics": [3]}]
-        with chaos_sweeps(_persistent_fault(0, tmp_path)):
+        with chaos_scope(_persistent_fault(0, tmp_path)):
             results = hb_sweep(
                 system, points, freqs=[1e6], sweep_options=dict(SKIP)
             )
@@ -83,7 +83,7 @@ class TestMonteCarloSkip:
         x0 = np.array([2.0, 0.0])
         n_paths = 3 * _PATH_CHUNK
         _, clean = simulate_sde_ensemble(vdp, x0, 5.0, 100, n_paths, seed=7)
-        with chaos_sweeps(_persistent_fault(1, tmp_path)):
+        with chaos_scope(_persistent_fault(1, tmp_path)):
             _, holes = simulate_sde_ensemble(
                 vdp, x0, 5.0, 100, n_paths, seed=7, sweep_options=dict(SKIP)
             )
@@ -115,7 +115,7 @@ class TestROMTransferSkip:
         s_vals = 2j * np.pi * np.logspace(6, 9, 4)
         clean = desc.transfer(s_vals)
         report = SolveReport(analysis="rom")
-        with chaos_sweeps(_persistent_fault(2, tmp_path)):
+        with chaos_scope(_persistent_fault(2, tmp_path)):
             holes = desc.transfer(
                 s_vals, report=report, sweep_options=dict(SKIP)
             )
@@ -138,7 +138,7 @@ class TestEMSkipRefusal:
         from repro.em.kernels import PanelKernel
 
         kern = PanelKernel(self._panels())
-        with chaos_sweeps(_persistent_fault(0, tmp_path)):
+        with chaos_scope(_persistent_fault(0, tmp_path)):
             with pytest.raises(SweepItemSkipped, match="row-block assembly"):
                 kern.dense(sweep_options=dict(SKIP))
 
@@ -147,7 +147,7 @@ class TestEMSkipRefusal:
         from repro.em.kernels import PanelKernel
 
         kern = PanelKernel(self._panels())
-        with chaos_sweeps(_persistent_fault(0, tmp_path)):
+        with chaos_scope(_persistent_fault(0, tmp_path)):
             with pytest.raises(SweepItemSkipped, match="IES3"):
                 compress_operator(
                     kern.block, kern.centers, leaf_size=4,
@@ -159,7 +159,7 @@ class TestEMSkipRefusal:
 
         # fault far enough in to hit the per-conductor excitation sweep
         # on at least some schedules; either sweep refusing is correct
-        with chaos_sweeps(_persistent_fault(0, tmp_path)):
+        with chaos_scope(_persistent_fault(0, tmp_path)):
             with pytest.raises(SweepItemSkipped):
                 capacitance_matrix_fast(
                     self._panels(), leaf_size=4, sweep_options=dict(SKIP)
