@@ -2,10 +2,10 @@
 hierarchical shooting.
 
 Those analyses reduce to the same template: ``F(x) = 0`` with a
-Jacobian that may be a dense array, a scipy sparse matrix, or a solver
-callable.  This module implements a line-search damped Newton iteration
-over that template.  HB and the other MPDE solvers run their own Newton
-loop in :func:`repro.mpde.mpde_core.solve_mpde`.
+Jacobian that is a dense array or a scipy sparse matrix.  This module
+implements a line-search damped Newton iteration over that template.
+HB and the other MPDE solvers run their own Newton loop in
+:func:`repro.mpde.mpde_core.solve_mpde`.
 """
 
 from __future__ import annotations
@@ -113,9 +113,7 @@ class NewtonResult:
 
 
 def _solve_linear(J, r):
-    """Solve J dx = r for dense, sparse, or callable J."""
-    if callable(J):
-        return J(r)
+    """Solve J dx = r for dense or sparse J."""
     if sp.issparse(J):
         return spla.spsolve(J.tocsc(), r)
     return np.linalg.solve(J, r)
@@ -143,10 +141,7 @@ def newton_solve(
     residual:
         Maps an iterate to the residual vector ``F(x)``.
     jacobian:
-        Maps an iterate to either a matrix ``J(x)`` (dense or sparse) or a
-        *solver* callable ``dx = J(r)`` implementing ``J(x)^{-1} r`` (for
-        a matrix-free Jacobian; every caller in the package passes a
-        matrix).
+        Maps an iterate to the matrix ``J(x)`` (dense or sparse).
     x0:
         Initial guess (not modified).
     factor_cache / cache_key:
@@ -176,7 +171,6 @@ def newton_solve(
 
     solver = None  # current linear-solve callable (factorization)
     solver_stale = False  # factored at an earlier iterate / another solve
-    reusable = True  # False for matrix-free (callable) Jacobians
     force_fresh = False  # staleness policy demanded a refresh: skip cache
     age = 0  # accepted steps served by the current factorization
     jac_evals = 0
@@ -223,15 +217,13 @@ def newton_solve(
 
         J = jacobian(x)
         jac_evals += 1
-        if callable(J):
-            return J, False
         try:
             s = make_factor_solver(J)
         except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
             _fail(f"singular Jacobian at iteration {it}: {exc}", it - 1)
         if cache is not None:
             cache.store(cache_key, s)
-        return s, True
+        return s
 
     def _limited(dx):
         if opts.dx_limit is not None:
@@ -281,9 +273,9 @@ def newton_solve(
                     if cache is not None and not force_fresh:
                         cached = cache.get(cache_key)
                     if cached is not None:
-                        solver, solver_stale, reusable = cached, True, True
+                        solver, solver_stale = cached, True
                     else:
-                        solver, reusable = _fresh_solver(it)
+                        solver = _fresh_solver(it)
                         solver_stale = False
                     force_fresh = False
                     age = 0
@@ -332,7 +324,7 @@ def newton_solve(
                 reuses += 1
             age += 1
             rate_bad = used_stale and fnorm_new > opts.reuse_rate_limit * fnorm
-            if not reusable or age >= reuse_limit or rate_bad:
+            if age >= reuse_limit or rate_bad:
                 solver = None
                 force_fresh = True
             else:

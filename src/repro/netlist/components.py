@@ -26,8 +26,8 @@ Sign conventions
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,16 +60,25 @@ BOLTZMANN = 1.380649e-23
 ELEMENTARY_CHARGE = 1.602176634e-19
 
 
-# Bumped by every Device.set_param.  Compiled systems gather the
-# parameter columns of their device groups once and gather them again
-# only when this count has moved (see MNASystem).
-_param_version = 0
-_param_version_lock = threading.Lock()
+# Device versions come from one process-wide count, so a process never
+# gives the same number out twice: not to two devices, not to a device
+# and its copy.  ``next`` on a count is atomic under the GIL, so no lock
+# is taken.  ``_latest`` is the version drawn last: a cache that saw it
+# unchanged knows in O(1) that no device anywhere has moved.
+_versions = itertools.count(1)
+_latest = 0
 
 
-def param_version() -> int:
-    """How many :meth:`Device.set_param` calls this process has made."""
-    return _param_version
+def _next_version() -> int:
+    global _latest
+    version = next(_versions)
+    _latest = version
+    return version
+
+
+def latest_version() -> int:
+    """The version most recently given to any device in this process."""
+    return _latest
 
 
 def thermal_voltage(temp_kelvin: float = 300.0) -> float:
@@ -139,6 +148,15 @@ class Device:
         self.nodes = [str(n) for n in nodes]
         self.node_idx: List[int] = []
         self.branch_idx: List[int] = []
+        #: moves on every :meth:`set_param`; see there
+        self.version = _next_version()
+
+    def __setstate__(self, state):
+        # a deep copy, or a device unpickled in another process, takes
+        # its version from this process's count: every version a device
+        # holds in a process was drawn there, so none repeats
+        self.__dict__.update(state)
+        self.version = _next_version()
 
     def bind(self, node_idx: Sequence[int], branch_idx: Sequence[int]) -> None:
         """Receive global indices (ground mapped to -1)."""
@@ -157,6 +175,11 @@ class Device:
     def b_stamps(self) -> List[Tuple[int, Waveform, float]]:
         """(row, waveform, sign) excitation contributions."""
         return []
+
+    def stamp_inputs(self) -> Tuple["Device", ...]:
+        """Other devices whose parameters this device's linear stamps
+        read: a change to any of them restamps this one too."""
+        return ()
 
     # --- nonlinear interface -------------------------------------------
     def nl_ports(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -232,17 +255,22 @@ class Device:
     def set_param(self, name: str, value: float) -> None:
         """Assign a scalar parameter, recomputing any derived fields.
 
-        Subclasses with derived attributes (e.g. the diode's ``vt``)
-        override this so the finite-difference fallbacks stay honest.
-        Each call marks the parameter columns that compiled systems
-        cache stale, so change parameters through this method, never by
-        assigning the attribute.
+        Every call moves :attr:`version` exactly once, after the value
+        and its derived fields (the diode's ``vt``, ...) are in place.
+        Compiled systems key what they cache on device versions: the
+        parameter columns of the nonlinear groups, the linear stamp
+        ranges :meth:`~repro.netlist.mna.MNASystem.refresh_stamps`
+        rewrites, the per-device pre-flight lint and the worker state of
+        :func:`~repro.sensitivity.explore`.  So change parameters
+        through this method, never by assigning the attribute.
         """
-        global _param_version
+        self._assign(name, value)
+        self.version = _next_version()
+
+    def _assign(self, name: str, value: float) -> None:
+        """Store one parameter and its derived fields (no version move)."""
         self.get_param(name)  # validates existence and scalarity
         setattr(self, name, float(value))
-        with _param_version_lock:
-            _param_version += 1
 
     def _fd_step(self, name: str) -> float:
         return self._FD_REL_STEP * max(1.0, abs(self.get_param(name)))
@@ -451,6 +479,9 @@ class MutualInductance(Device):
     def mutual(self) -> float:
         return self.coupling * math.sqrt(self.ind1.inductance * self.ind2.inductance)
 
+    def stamp_inputs(self):
+        return (self.ind1, self.ind2)
+
     sens_params = ("coupling",)
 
     def c_stamps(self):
@@ -496,11 +527,11 @@ class VSource(Device):
             return float(getattr(self.waveform, name))
         return super().get_param(name)
 
-    def set_param(self, name, value):
+    def _assign(self, name, value):
         if hasattr(self.waveform, name):
             setattr(self.waveform, name, float(value))
-            return
-        super().set_param(name, value)
+        else:
+            super()._assign(name, value)
 
     def b_stamp_derivs(self, name):
         (br,) = self.branch_idx
@@ -528,11 +559,11 @@ class ISource(Device):
             return float(getattr(self.waveform, name))
         return super().get_param(name)
 
-    def set_param(self, name, value):
+    def _assign(self, name, value):
         if hasattr(self.waveform, name):
             setattr(self.waveform, name, float(value))
-            return
-        super().set_param(name, value)
+        else:
+            super()._assign(name, value)
 
     def b_stamp_derivs(self, name):
         i, j = self.node_idx
@@ -625,8 +656,8 @@ class Diode(Device):
 
     sens_params = ("isat", "tt", "cj0", "gmin", "ideality", "temp")
 
-    def set_param(self, name, value):
-        super().set_param(name, value)
+    def _assign(self, name, value):
+        super()._assign(name, value)
         if name in ("ideality", "temp"):
             self.vt = thermal_voltage(self.temp) * self.ideality
 
@@ -772,8 +803,8 @@ class BJT(Device):
 
     sens_params = ("isat", "beta_f", "beta_r", "tf", "cje", "cjc", "gmin", "temp")
 
-    def set_param(self, name, value):
-        super().set_param(name, value)
+    def _assign(self, name, value):
+        super()._assign(name, value)
         if name == "temp":
             self.vt = thermal_voltage(self.temp)
 

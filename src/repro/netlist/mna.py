@@ -14,7 +14,8 @@ Device evaluation
 -----------------
 Nonlinear devices are grouped by type (``Device.nl_group_key``) and each
 group is evaluated as one numpy batch (``Device.nl_eval_group``) with
-parameter columns it gathers again only after a ``Device.set_param``.
+parameter columns it gathers again only after one of its own devices
+moved its version (``Device.set_param``).
 One pass over the groups serves ``f``, ``q``, ``G``, ``C``,
 ``batch_fq`` (both terms: use it when both are needed) and
 ``batch_jacobians`` alike, scattering through index arrays built at
@@ -22,6 +23,14 @@ compile time.  Groups follow one canonical device order, and the batch
 mirrors ``Device.nl_eval`` operation for operation, so every output is
 bit-identical to a per-device loop over that order — the tests keep
 such a loop (``tests/stamp_reference.py``) as the reference.
+
+Linear stamps
+-------------
+The linear entries are kept as flat COO arrays with one index range per
+device, and ``G_lin``/``C_lin`` are assembled from them.
+``refresh_stamps`` rewrites only the ranges of devices whose version (or
+whose ``Device.stamp_inputs``' versions) moved, then assembles again with
+the same call, so the matrices equal a fresh compile's bit for bit.
 
 Compiled systems pickle (for the process-backend sweep executor) by
 re-running compilation from the device list on unpickle — the noise
@@ -31,14 +40,19 @@ serialized.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.netlist.components import Device, NoiseSource, param_version
+from repro.netlist.components import Device, NoiseSource, latest_version
 
 __all__ = ["MNASystem"]
+
+# compile-time system ids: never reused, unlike id()
+_system_ids = itertools.count(1)
 
 
 class _NLGroup:
@@ -90,16 +104,23 @@ class _NLGroup:
         self.jac_rows = rows.reshape(-1)[self.jac_valid]
         self.jac_cols = cols.reshape(-1)[self.jac_valid]
         self.jac_nnz = int(self.jac_rows.size)
-        self._params = (-1, None)
+        self._params = (None, None, None)
 
     def params(self) -> dict:
         """Read-only ``(d, 1)`` parameter columns, gathered again only
-        after a ``set_param``.  The cache is replaced as one tuple (no
-        thread sees it half built), and the version is read before the
-        gather, so a racing ``set_param`` leaves it marked stale."""
-        version = param_version()
-        cached = self._params
-        if cached[0] != version:
+        after one of the group's devices moved its version.
+
+        O(1) while no device anywhere has moved; otherwise the group
+        compares its own devices' versions.  The cache is replaced as one
+        tuple (no thread sees it half built), and the versions are read
+        before the gather, so a racing ``set_param`` leaves it marked
+        stale."""
+        latest = latest_version()
+        seen, versions, columns = self._params
+        if seen == latest:
+            return columns
+        now = [dev.version for dev in self.devices]
+        if now != versions:
             columns = {}
             for name in self.cls.nl_group_params:
                 col = np.array(
@@ -107,8 +128,8 @@ class _NLGroup:
                 )[:, None]
                 col.flags.writeable = False
                 columns[name] = col
-            cached = self._params = (version, columns)
-        return cached[1]
+        self._params = (latest, now, columns)
+        return columns
 
     def eval(self, x2d: np.ndarray):
         """(f, q, df, dq) with a leading device axis of length ``d``."""
@@ -131,6 +152,9 @@ class MNASystem:
         ``i < len(node_names)`` is the voltage of ``node_names[i]``.
     branch_owner:
         Device name owning each branch-current unknown.
+    uid:
+        Id fixed at compile time and never reused in this process (a
+        copy or an unpickled system compiles again and gets its own).
     """
 
     def __init__(
@@ -145,6 +169,13 @@ class MNASystem:
         self.node_names = list(node_names)
         self.branch_owner = list(branch_owner)
         self.n = len(node_names) + len(branch_owner)
+        self.uid = next(_system_ids)
+        # devices whose linear stamps also read other devices' parameters
+        self._coupled = [
+            (k, inputs)
+            for k, dev in enumerate(self.devices)
+            if (inputs := dev.stamp_inputs())
+        ]
         self._node_index = {name: i for i, name in enumerate(node_names)}
         # first-occurrence wins, matching the historical linear scan for
         # devices owning several branch currents
@@ -181,20 +212,35 @@ class MNASystem:
         self.validation = state.get("validation")
 
     # ------------------------------------------------------------------
+    @property
+    def version(self) -> int:
+        """The highest version among the devices.
+
+        Versions come from one process-wide count that only grows, so
+        while one thread sets this system's parameters every
+        ``Device.set_param`` on it moves the maximum.
+        """
+        return max((dev.version for dev in self.devices), default=0)
+
     def refresh_stamps(self, linear: bool = True, sources: bool = False) -> None:
-        """Rebuild cached stamp structures after device parameters change.
+        """Bring cached stamp structures up to date after ``set_param``.
 
         The sensitivity/exploration layer mutates device parameters in
         place (``Device.set_param``); the nonlinear groups' parameter
         columns notice that by themselves, but the linear
         ``G_lin``/``C_lin`` matrices and the excitation row lists are
-        assembled once at compile time and must be refreshed here.
-        ``sources=True`` additionally re-scans ``b_stamps`` (only needed
-        when waveform *objects* were replaced — in-place waveform
-        attribute mutation is picked up live).
+        assembled at compile time and are brought up to date here.
+        ``linear=True`` rewrites the stamp ranges of the devices whose
+        version, or whose ``Device.stamp_inputs``' versions, moved since
+        the last stamping, and assembles the matrices that changed again
+        (a device whose stamp coordinates changed restamps everything);
+        with nothing moved it does nothing.  ``sources=True``
+        additionally re-scans ``b_stamps`` (only needed when waveform
+        *objects* were replaced — in-place waveform attribute mutation
+        is picked up live).
         """
         if linear:
-            self._build_linear()
+            self._restamp_linear()
         if sources:
             self._build_sources()
 
@@ -215,9 +261,20 @@ class MNASystem:
         return idx
 
     # ------------------------------------------------------------------
+    def _stamp_versions(self) -> list:
+        """Per device, the version its linear stamps are read at: its own,
+        or with its ``stamp_inputs`` a tuple of theirs as well."""
+        versions = [dev.version for dev in self.devices]
+        for k, inputs in self._coupled:
+            versions[k] = (versions[k],) + tuple(dev.version for dev in inputs)
+        return versions
+
     def _build_linear(self) -> None:
-        g_rows, g_cols, g_vals = [], [], []
-        c_rows, c_cols, c_vals = [], [], []
+        # versions are read before the stamps, so a racing set_param
+        # leaves its device marked for the next refresh
+        self._stamped = self._stamp_versions()
+        g_rows, g_cols, g_vals, g_span = [], [], [], [0]
+        c_rows, c_cols, c_vals, c_span = [], [], [], [0]
         for dev in self.devices:
             for i, j, v in dev.g_stamps():
                 if i >= 0 and j >= 0:
@@ -225,18 +282,82 @@ class MNASystem:
             for i, j, v in dev.c_stamps():
                 if i >= 0 and j >= 0:
                     c_rows.append(i), c_cols.append(j), c_vals.append(v)
-        n = self.n
-        self.G_lin = sp.csr_matrix(
-            (np.array(g_vals, dtype=float), (g_rows, g_cols)), shape=(n, n)
+            g_span.append(len(g_vals))
+            c_span.append(len(c_vals))
+        # flat COO entries; device k owns [span[k], span[k + 1])
+        self._g_entries = (
+            np.array(g_rows, dtype=int), np.array(g_cols, dtype=int),
+            np.array(g_vals, dtype=float), g_span,
         )
-        self.C_lin = sp.csr_matrix(
-            (np.array(c_vals, dtype=float), (c_rows, c_cols)), shape=(n, n)
+        self._c_entries = (
+            np.array(c_rows, dtype=int), np.array(c_cols, dtype=int),
+            np.array(c_vals, dtype=float), c_span,
         )
-        # COO copies kept for batch-Jacobian assembly
-        gc = self.G_lin.tocoo()
-        cc = self.C_lin.tocoo()
-        self._g_lin_coo = (gc.row.copy(), gc.col.copy(), gc.data.copy())
-        self._c_lin_coo = (cc.row.copy(), cc.col.copy(), cc.data.copy())
+        self.G_lin, self._g_lin_coo = self._assemble(self._g_entries)
+        self.C_lin, self._c_lin_coo = self._assemble(self._c_entries)
+
+    def _assemble(self, entries, coo=None):
+        """CSR matrix of flat COO entries, plus the COO copy kept for
+        batch-Jacobian assembly.  ``coo`` is the previous copy when only
+        values moved: the coordinates, hence the CSR structure and the
+        copy's row/column arrays, are then unchanged."""
+        rows, cols, vals, _ = entries
+        mat = sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        if coo is not None:
+            return mat, (coo[0], coo[1], mat.data.copy())
+        coo = mat.tocoo()
+        return mat, (coo.row.copy(), coo.col.copy(), coo.data.copy())
+
+    def _restamp_linear(self) -> None:
+        versions = self._stamp_versions()
+        seen = self._stamped
+        if versions == seen:
+            return
+        moved = list(
+            itertools.compress(range(len(versions)), map(operator.ne, versions, seen))
+        )
+        g = self._restamp(self._g_entries, moved, "g_stamps")
+        c = self._restamp(self._c_entries, moved, "c_stamps")
+        if g is None or c is None:
+            self._build_linear()
+            return
+        if g is not self._g_entries:
+            self._g_entries = g
+            self.G_lin, self._g_lin_coo = self._assemble(g, self._g_lin_coo)
+        if c is not self._c_entries:
+            self._c_entries = c
+            self.C_lin, self._c_lin_coo = self._assemble(c, self._c_lin_coo)
+        self._stamped = versions
+
+    def _restamp(self, entries, moved, method):
+        """``entries`` with the moved devices' ranges rewritten (the same
+        tuple when none of their values changed), or None when a
+        device's stamp coordinates changed."""
+        rows, cols, vals, span = entries
+        new_vals = None
+        for k in moved:
+            lo, hi = span[k], span[k + 1]
+            stamps = [
+                (i, j, v)
+                for i, j, v in getattr(self.devices[k], method)()
+                if i >= 0 and j >= 0
+            ]
+            if len(stamps) != hi - lo:
+                return None
+            if not stamps:
+                continue
+            r, c, v = zip(*stamps)
+            if rows[lo:hi].tolist() != list(r) or cols[lo:hi].tolist() != list(c):
+                return None
+            v = np.array(v, dtype=float)
+            if v.tobytes() == vals[lo:hi].tobytes():  # bits: -0.0 != 0.0
+                continue
+            if new_vals is None:
+                new_vals = vals.copy()
+            new_vals[lo:hi] = v
+        if new_vals is None:
+            return entries
+        return rows, cols, new_vals, span
 
     def _build_nonlinear(self) -> None:
         entries: List[Tuple[Device, np.ndarray, np.ndarray]] = []

@@ -9,7 +9,8 @@ Four families of checks, each returning a
   non-finite device parameters.  Works on a :class:`Circuit` or a
   compiled :class:`MNASystem` (anything with a ``.devices`` list) and
   never calls the numerical evaluators, so fault-injection proxies pass
-  through untouched.
+  through untouched.  :func:`preflight` keeps the topology half once per
+  compiled system and the parameter half per device version.
 * :func:`lint_mna` — numerical health of the compiled system: a
   conditioning estimate of the DC Jacobian, scaling/equilibration
   advice, and an automatic gmin recommendation.
@@ -26,9 +27,12 @@ Diagnostic codes are stable; DESIGN.md documents the full table.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
+import operator
 import time
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -193,13 +197,21 @@ def lint_circuit(circuit) -> ValidationReport:
     t0 = time.perf_counter()
     rep = ValidationReport(subject="circuit")
     devices = list(getattr(circuit, "devices", circuit))
+    for dev in devices:
+        _lint_device_params(dev, rep)
+    _lint_topology(devices, rep)
+    rep.wall_time = time.perf_counter() - t0
+    return rep
 
+
+def _lint_topology(devices, rep: ValidationReport) -> None:
+    """The ``TOPO_*`` half of :func:`lint_circuit`: it reads only device
+    kinds and nodes, which compilation fixes."""
     touches: Dict[str, int] = {}
     all_uf = _UnionFind()
     dc_uf = _UnionFind()
     grounded = False
     for dev in devices:
-        _lint_device_params(dev, rep)
         kind = type(dev).__name__
         nodes = [_canon(n) for n in dev.nodes]
         for n in nodes:
@@ -306,9 +318,6 @@ def lint_circuit(circuit) -> ValidationReport:
                 location=n,
                 suggestion="remove the unused terminal or complete the connection",
             )
-
-    rep.wall_time = time.perf_counter() - t0
-    return rep
 
 
 def lint_mna(
@@ -760,6 +769,51 @@ def lint_fd_grid(domain, shape, boxes) -> ValidationReport:
     return rep
 
 
+class _CircuitLint:
+    """What :func:`preflight` keeps of :func:`lint_circuit` for one
+    compiled system: the topology diagnostics, and the parameter
+    diagnostics of every device with the versions they were made at."""
+
+    __slots__ = ("topology", "params")
+
+    def __init__(self, devices):
+        rep = ValidationReport()
+        _lint_topology(devices, rep)
+        self.topology = rep.diagnostics
+        # (versions, per-device diagnostics, all of them in order),
+        # replaced as one tuple so no thread sees it half updated
+        self.params = ([None] * len(devices), [()] * len(devices), [])
+
+    def report(self, devices) -> ValidationReport:
+        """A fresh :func:`lint_circuit` report, in its order, re-linting
+        only the devices whose version moved."""
+        t0 = time.perf_counter()
+        seen, per_device, flat = self.params
+        # read before the lint: a racing set_param stays marked
+        now = [dev.version for dev in devices]
+        if now != seen:
+            per_device = list(per_device)
+            fresh = ValidationReport()
+            for k in itertools.compress(range(len(now)), map(operator.ne, now, seen)):
+                start = len(fresh.diagnostics)
+                _lint_device_params(devices[k], fresh)
+                per_device[k] = fresh.diagnostics[start:]
+            flat = [d for diags in per_device for d in diags]
+            self.params = (now, per_device, flat)
+        rep = ValidationReport(subject="circuit")
+        # copies: a caller editing a report must not edit the next one
+        rep.diagnostics = [
+            dataclasses.replace(d, detail=dict(d.detail))
+            for d in itertools.chain(flat, self.topology)
+        ]
+        rep.wall_time = time.perf_counter() - t0
+        return rep
+
+
+#: compiled system -> its _CircuitLint, dropped with the system
+_CIRCUIT_LINTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def preflight(
     system,
     analysis: Optional[str] = None,
@@ -774,14 +828,27 @@ def preflight(
     :class:`~repro.netlist.mna.MNASystem` (numeric probes call the
     evaluators, which must not consume scheduled faults on injection
     proxies).
+
+    On a genuine ``MNASystem`` the circuit lint is cached: the topology
+    half once per compiled system (compilation fixes device kinds and
+    nodes), the parameter half per device version, so a call after a
+    ``Device.set_param`` re-lints only the devices that changed.  The
+    report equals a fresh :func:`lint_circuit`'s, diagnostic for
+    diagnostic and in the same order.
     """
-    rep = lint_circuit(system)
+    from repro.netlist.mna import MNASystem
+
+    genuine = isinstance(system, MNASystem)
+    if genuine:
+        kept = _CIRCUIT_LINTS.get(system)
+        if kept is None:
+            kept = _CIRCUIT_LINTS[system] = _CircuitLint(system.devices)
+        rep = kept.report(system.devices)
+    else:
+        rep = lint_circuit(system)
     rep.subject = f"{analysis or 'solve'}-preflight"
     if analysis:
         rep.merge(lint_analysis(system, analysis, **setup))
-    if numeric:
-        from repro.netlist.mna import MNASystem
-
-        if isinstance(system, MNASystem) and rep.ok:
-            rep.merge(lint_mna(system))
+    if numeric and genuine and rep.ok:
+        rep.merge(lint_mna(system))
     return rep

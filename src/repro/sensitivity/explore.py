@@ -17,7 +17,11 @@ driver exploits that split:
       (A0 + E_R V)⁻¹ r = y - Z (I_r + V Z)⁻¹ V y,    y = A0⁻¹ r,
 
   i.e. one cached triangular solve plus an ``r x r`` dense solve per
-  iteration — no refactorization anywhere in the sweep.
+  iteration — no refactorization anywhere in the sweep.  One device
+  pass per iterate gives ``f(x)`` and the nonlinear Jacobian entries;
+  ``V = G(x)[R] - A0[R]`` is formed from those entries on the rows ``R``
+  plus ``G_lin[R]``, taken once per point, so no ``n x n`` matrix is
+  built per iterate.
 * Gradients (optional) reuse the same factors transposed:
   ``J⁻ᵀ g = yᵀ - A0⁻ᵀ Vᵀ S⁻ᵀ yᵀ[R]`` with ``S = I + V Z``, two
   transpose triangular solves per point, then the DC adjoint inner
@@ -25,8 +29,12 @@ driver exploits that split:
 
 Points dispatch through :func:`~repro.perf.sweep_map`, so the thread
 and process backends (and all the fault-tolerance knobs) apply; every
-worker keeps its own private system copy plus factor state, keyed by a
-per-sweep token, so the caller's system is never mutated.
+worker keeps its own private system copy plus factor state, so the
+caller's system is never mutated.  That state is keyed by what it is
+built from — the system's ``uid`` and ``version``, the parameter specs,
+the mode and ``x_ref`` — so repeated calls on an unchanged system reuse
+the copy, the LU of ``A0`` and ``Z``, and any ``Device.set_param`` on
+the caller's system builds them afresh.
 ``mode="full"`` solves every point from scratch instead — the
 equivalence baseline the tests and the benchmark compare against.
 """
@@ -37,7 +45,6 @@ import copy
 import dataclasses
 import threading
 import time
-import uuid
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -55,8 +62,8 @@ __all__ = ["ExploreResult", "explore"]
 _MODES = ("woodbury", "full")
 
 # per-thread (and, under the process backend, per-process) worker state,
-# keyed by the sweep token; bounded so long-lived workers don't hoard
-# factorizations of finished sweeps
+# keyed by what it is built from; bounded so long-lived workers don't
+# hoard factorizations of systems no longer explored
 _STATES = threading.local()
 _MAX_STATES = 4
 
@@ -98,36 +105,50 @@ def _variant_rows(system: MNASystem, ps: ParamSet) -> np.ndarray:
     return np.array(sorted(rows), dtype=int)
 
 
+def _dense_rows(mat, rows: np.ndarray) -> np.ndarray:
+    """``mat[rows].toarray()`` for a canonical CSR matrix, read straight
+    from its row slices."""
+    out = np.zeros((rows.size, mat.shape[1]))
+    for a, i in enumerate(rows):
+        lo, hi = mat.indptr[i], mat.indptr[i + 1]
+        out[a, mat.indices[lo:hi]] = mat.data[lo:hi]
+    return out
+
+
 class _PointTask:
     """Picklable per-point solve for the sweep executor."""
 
     __slots__ = (
-        "system", "specs", "objective", "token", "mode", "gradients",
+        "system", "specs", "objective", "key", "mode", "gradients",
         "x_ref", "abstol", "maxiter", "dx_limit",
     )
 
-    def __init__(self, system, specs, objective, token, mode, gradients,
+    def __init__(self, system, specs, objective, mode, gradients,
                  x_ref, abstol, maxiter, dx_limit):
         self.system = system
         self.specs = list(specs)
         self.objective = objective
-        self.token = token
         self.mode = mode
         self.gradients = gradients
         self.x_ref = np.asarray(x_ref, dtype=float)
         self.abstol = float(abstol)
         self.maxiter = int(maxiter)
         self.dx_limit = float(dx_limit)
+        # everything the worker state is built from
+        self.key = (
+            system.uid, system.version, tuple(self.specs), mode,
+            self.x_ref.tobytes(),
+        )
 
     # -- worker-local state -------------------------------------------
     def _state(self) -> dict:
         cache = getattr(_STATES, "cache", None)
         if cache is None:
             cache = _STATES.cache = {}
-        st = cache.get(self.token)
+        st = cache.get(self.key)
         if st is None:
             st = self._build_state()
-            cache[self.token] = st
+            cache[self.key] = st
             while len(cache) > _MAX_STATES:
                 cache.pop(next(iter(cache)))
         return st
@@ -138,16 +159,15 @@ class _PointTask:
         # by re-running compilation from its device list)
         sys_copy = copy.deepcopy(self.system)
         ps = ParamSet(sys_copy, self.specs)
-        obj = resolve_state_objective(self.objective, sys_copy)
-        st = {"sys": sys_copy, "ps": ps, "obj": obj}
+        st = {"sys": sys_copy, "ps": ps}
         if self.mode == "woodbury":
             x_ref = self.x_ref
             A0 = sys_copy.G(x_ref).tocsc()
             lu = spla.splu(A0)
             fc = FactorCache(max_entries=4)
-            fc.store(("explore", self.token, "solve"), lu.solve)
+            fc.store(("explore", self.key, "solve"), lu.solve)
             fc.store(
-                ("explore", self.token, "solveT"),
+                ("explore", self.key, "solveT"),
                 lambda rhs: lu.solve(rhs, trans="T"),
             )
             R = _variant_rows(sys_copy, ps)
@@ -155,31 +175,60 @@ class _PointTask:
             st["R"] = R
             st["A0R"] = A0.tocsr()[R].toarray() if R.size else None
             st["Z"] = lu.solve(np.eye(sys_copy.n)[:, R]) if R.size else None
+            # nonlinear Jacobian entries that land on the rows R: their
+            # positions in the device pass, and (row of R, column)
+            at = np.full(sys_copy.n, -1)
+            at[R] = np.arange(R.size)
+            nl_at = at[sys_copy._nl_rows]
+            keep = nl_at >= 0
+            st["nl_keep"] = keep
+            st["nl_rc"] = (nl_at[keep], sys_copy._nl_cols[keep])
         return st
 
     # -- per-point solves ---------------------------------------------
+    def _pass(self, st, x, rows):
+        """``(f(x), G(x)[R])`` from one device pass; the second is None
+        unless ``rows`` (``G_lin[R]`` as a dense array) is given."""
+        sys_c = st["sys"]
+        x2d = x[:, None]
+        f = sys_c.G_lin @ x2d
+        if rows is None:
+            sys_c._device_pass(x2d, f=f)
+            return f[:, 0], None
+        vals = np.empty((sys_c._nl_rows.size, 1))
+        sys_c._device_pass(x2d, f=f, g_vals=vals)
+        # nonlinear entries summed on their own first, then added to the
+        # linear rows, as G(x) sums them
+        GR = np.zeros_like(rows)
+        np.add.at(GR, st["nl_rc"], vals[st["nl_keep"], 0])
+        return f[:, 0], rows + GR
+
     def _solve_full(self, st):
         res = dc_analysis(st["sys"], on_invalid="ignore")
-        return res.x, res.iterations, False
+        return res.x, res.iterations, False, None
 
     def _solve_woodbury(self, st):
+        """``(x, iterations, fell_back, G(x)[R])``; the last is None
+        when there are no variant rows or the full solve took over."""
         sys_c = st["sys"]
-        solve = st["factors"].get(("explore", self.token, "solve"))
+        solve = st["factors"].get(("explore", self.key, "solve"))
         if solve is None:  # evicted by a concurrent sweep: fail over
             return self._solve_full(st)
         R, A0R, Z = st["R"], st["A0R"], st["Z"]
         r = R.size
+        rows = _dense_rows(sys_c.G_lin, R) if r else None
         b = sys_c.b_dc()
         x = self.x_ref.copy()
         for it in range(self.maxiter):
-            F = sys_c.f(x) - b
+            f, GR = self._pass(st, x, rows)
+            F = f - b
             if not np.all(np.isfinite(F)):
                 break
             if float(np.linalg.norm(F)) <= self.abstol:
-                return x, it, False
+                return x, it, False, GR
             y = solve(-F)
             if r:
-                V = sys_c.G(x).tocsr()[R].toarray() - A0R
+                V = GR - A0R
                 S = np.eye(r) + V @ Z
                 try:
                     dx = y - Z @ np.linalg.solve(S, V @ y)
@@ -194,24 +243,26 @@ class _PointTask:
                 dx *= self.dx_limit / mx
             x = x + dx
         # stalled / diverged: full escalation ladder from scratch
-        x, iters, _ = self._solve_full(st)
-        return x, iters, True
+        x, iters, _, _ = self._solve_full(st)
+        return x, iters, True, None
 
-    def _gradient(self, st, x) -> list:
-        sys_c, ps, obj = st["sys"], st["ps"], st["obj"]
-        g = np.asarray(obj.grad(x), dtype=float)
+    def _gradient(self, st, x, GR) -> list:
+        sys_c, ps = st["sys"], st["ps"]
+        g = np.asarray(self.objective.grad(x), dtype=float)
         rhs = np.empty((sys_c.n, len(ps)))
         for j, bp in enumerate(ps.bound):
             dfdp, _ = param_residual_derivs(sys_c, x, bp)
             rhs[:, j] = dfdp - dbdp_dc(sys_c, bp)
         solveT = None
         if self.mode == "woodbury":
-            solveT = st["factors"].get(("explore", self.token, "solveT"))
+            solveT = st["factors"].get(("explore", self.key, "solveT"))
         if solveT is not None:
             yT = solveT(g)
             R, A0R, Z = st["R"], st["A0R"], st["Z"]
             if R.size:
-                V = sys_c.G(x).tocsr()[R].toarray() - A0R
+                if GR is None:
+                    _, GR = self._pass(st, x, _dense_rows(sys_c.G_lin, R))
+                V = GR - A0R
                 S = np.eye(R.size) + V @ Z
                 u = np.linalg.solve(S.T, yT[R])
                 lam = yT - solveT(V.T @ u)
@@ -225,11 +276,11 @@ class _PointTask:
         st = self._state()
         st["ps"].set_values(np.asarray(values, dtype=float))
         if self.mode == "woodbury":
-            x, iters, fell_back = self._solve_woodbury(st)
+            x, iters, fell_back, GR = self._solve_woodbury(st)
         else:
-            x, iters, fell_back = self._solve_full(st)
-        value = float(st["obj"].value(x))
-        grad = self._gradient(st, x) if self.gradients else None
+            x, iters, fell_back, GR = self._solve_full(st)
+        value = float(self.objective.value(x))
+        grad = self._gradient(st, x, GR) if self.gradients else None
         return value, grad, bool(fell_back), int(iters)
 
 
@@ -308,12 +359,13 @@ def explore(
 
     if x_ref is None:
         x_ref = dc_analysis(system).x
-    resolve_state_objective(objective, system)  # fail fast on bad objectives
+    # resolved once, here: bad objectives fail fast, and the worker
+    # state does not depend on the objective
+    obj = resolve_state_objective(objective, system)
 
     t0 = time.perf_counter()
     task = _PointTask(
-        system, ps.names, objective, uuid.uuid4().hex, mode, gradients,
-        x_ref, abstol, maxiter, dx_limit,
+        system, ps.names, obj, mode, gradients, x_ref, abstol, maxiter, dx_limit,
     )
     results = sweep_map(
         task, pts, workers=workers, backend=backend, **(sweep_options or {})

@@ -3,11 +3,14 @@
 A *parameter spec* names one scalar device parameter of a compiled
 circuit, in the form ``"R1.resistance"`` (or equivalently the tuple
 ``("R1", "resistance")``).  :class:`ParamSet` resolves a list of specs
-against an :class:`~repro.netlist.mna.MNASystem`, exposes vectorized
-get/set of the bound values, and knows whether mutating them requires a
-linear-stamp refresh (:meth:`~repro.netlist.mna.MNASystem.refresh_stamps`)
-— nonlinear evaluation and source waveforms are read live, but the
-compiled ``G_lin``/``C_lin`` matrices are not.
+against an :class:`~repro.netlist.mna.MNASystem` and exposes vectorized
+get/set of the bound values.  Values are set through
+``Device.set_param``, so every change moves its device's version, which
+is what the linear-stamp refresh
+(:meth:`~repro.netlist.mna.MNASystem.refresh_stamps`), the pre-flight
+lint and ``explore()``'s worker state key on — nonlinear evaluation and
+source waveforms are read live, but the compiled ``G_lin``/``C_lin``
+matrices are not.
 """
 
 from __future__ import annotations
@@ -85,11 +88,13 @@ def resolve_param(system: MNASystem, spec: ParamSpec) -> BoundParam:
 class ParamSet:
     """An ordered set of bound parameters over one compiled system.
 
-    Mutation goes through :meth:`set_values`, which also refreshes the
-    system's compiled linear stamps when any bound device contributes
-    them.  :meth:`restore` puts the original values back (and refreshes
-    again), so a ``try/finally`` around a sweep leaves the system
-    exactly as found.
+    Mutation goes through :meth:`set_values`, which calls
+    ``Device.set_param`` per value (moving each bound device's version)
+    and then ``refresh_stamps``, which rewrites only those devices' stamp
+    ranges, and nothing when none of them stamps ``G_lin``/``C_lin``.
+    :meth:`restore` puts the original values back (and refreshes again),
+    so a ``try/finally`` around a sweep leaves the system exactly as
+    found.
     """
 
     def __init__(self, system: MNASystem, specs: Sequence[ParamSpec]):
@@ -103,11 +108,6 @@ class ParamSet:
                 raise ValueError(f"duplicate parameter spec {bp.spec!r}")
             seen.add(bp.spec)
         self._reference = self.values()
-        # linear-stamp refresh is only needed when a bound device stamps
-        # G_lin/C_lin (sources and purely nonlinear devices do not)
-        self.needs_linear_refresh = any(
-            bp.device.g_stamps() or bp.device.c_stamps() for bp in self.bound
-        )
 
     def __len__(self) -> int:
         return len(self.bound)
@@ -128,8 +128,7 @@ class ParamSet:
             )
         for bp, v in zip(self.bound, vals):
             bp.set(float(v))
-        if self.needs_linear_refresh:
-            self.system.refresh_stamps(linear=True)
+        self.system.refresh_stamps(linear=True)
 
     def restore(self) -> None:
         self.set_values(self._reference)

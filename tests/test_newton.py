@@ -59,17 +59,6 @@ class TestNewtonScalarVector:
                 NewtonOptions(maxiter=15),
             )
 
-    def test_jacobian_as_solver_callable(self):
-        A = np.diag([2.0, 4.0])
-        b = np.array([2.0, 8.0])
-        res = newton_solve(
-            lambda x: A @ x - b,
-            lambda x: (lambda r: np.linalg.solve(A, r)),
-            np.zeros(2),
-        )
-        assert res.converged
-        np.testing.assert_allclose(res.x, [1.0, 2.0], rtol=1e-10)
-
     def test_sparse_jacobian(self):
         import scipy.sparse as sp
 
