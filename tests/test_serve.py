@@ -419,12 +419,16 @@ class TestServiceChaos:
         )
         with chaos_scope(chaos):
             procs = svc.spawn_workers(2, max_seconds=120)
-            # wait until some worker is visibly stuck on the hang job
+            # wait until some worker is visibly stuck on the hang job: the
+            # WAL says "running" before the worker reaches the chaos hook,
+            # so also wait for the hook to have counted this occurrence —
+            # a kill in between would leave the replay to hang instead
             victim = None
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
                 rec = svc.status(submitted[0].job_id)
-                if rec and rec["state"] == "running" and rec["worker"]:
+                if (rec and rec["state"] == "running" and rec["worker"]
+                        and chaos.count("jobs", "marker-hang") >= 1):
                     victim = int(rec["worker"].lstrip("w"))
                     break
                 time.sleep(0.05)
