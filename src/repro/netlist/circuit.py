@@ -141,8 +141,10 @@ class Circuit:
             branch_owner=branch_owner,
         )
         from repro.robust.diagnostics import enforce
+        from repro.robust.validate import lint_compiled
 
-        system.validation = self.lint()
+        # kept with the system, so its first pre-flight lints nothing again
+        system.validation = lint_compiled(system)
         if on_invalid is not None:
             enforce(system.validation, on_invalid)
         return system

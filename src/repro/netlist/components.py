@@ -192,8 +192,20 @@ class Device:
         ``V`` has shape ``(k_in, m)``; returns ``(f, q, df, dq)`` with
         ``f, q`` of shape ``(k_eq, m)`` and ``df, dq`` of shape
         ``(k_eq, k_in, m)``.
+
+        Runs the class's :meth:`nl_eval_group` on a group of one, with
+        ``(1, 1)`` parameter columns read from the device's attributes
+        at the time of the call (the finite-difference fallback of
+        :meth:`nl_dfdp` moves them between calls), so the result is the
+        device's slice of any group it is evaluated in.  Classes without
+        a group kernel override this method.
         """
-        raise NotImplementedError
+        params = {
+            name: np.array([[getattr(self, name)]], dtype=float)
+            for name in self.nl_group_params
+        }
+        f, q, df, dq = self.nl_eval_group(params, np.asarray(V)[None])
+        return f[0], q[0], df[0], dq[0]
 
     def nl_group_key(self):
         """Batch-evaluation family, or None to evaluate per device.
@@ -204,7 +216,8 @@ class Device:
         *type* instead of one Python-level call per device.  Classes
         whose evaluation involves per-device user callables
         (:class:`NonlinearResistor`, :class:`NonlinearCapacitor`) keep
-        the default ``None`` and are evaluated one by one.
+        the default ``None``, override :meth:`nl_eval` and are evaluated
+        one by one.
         """
         return None
 
@@ -215,17 +228,16 @@ class Device:
 
     @classmethod
     def nl_eval_group(cls, params, V: np.ndarray):
-        """Batched :meth:`nl_eval` over ``d`` same-class devices.
+        """The device model, evaluated over ``d`` same-class devices.
 
         ``params`` maps each name in :attr:`nl_group_params` to its
         read-only ``(d, 1)`` column across the batch.  ``V`` has shape
         ``(d, k_in, m)``; returns ``(f, q, df, dq)`` with ``f, q`` of
         shape ``(d, k_eq, m)`` and ``df, dq`` of shape
-        ``(d, k_eq, k_in, m)``.  Implementations must mirror
-        :meth:`nl_eval` operation-for-operation (same expressions, same
-        association order) so the batched path is bit-identical to the
-        per-device reference — the property tests in
-        ``tests/test_properties.py`` pin this down.
+        ``(d, k_eq, k_in, m)``.  This is the only implementation of a
+        batchable model: :meth:`nl_eval` runs it on a group of one.  The
+        tests hold it, bit for bit, to independent per-device kernels
+        (``tests/stamp_reference.py``).
         """
         raise NotImplementedError
 
@@ -624,6 +636,13 @@ class VCVS(Device):
         return super().g_stamp_derivs(name)
 
 
+def _junction(v, isat, vt, gmin):
+    """Junction current ``isat (exp(v/vt) - 1) + gmin v`` and its
+    conductance: the diode, and each Ebers-Moll junction of the BJT."""
+    e, de = limexp(v / vt)
+    return isat * (e - 1.0) + gmin * v, isat * de / vt + gmin
+
+
 class Diode(Device):
     """Junction diode: ``i = Is (exp(v/(n Vt)) - 1) + gmin v``.
 
@@ -686,25 +705,7 @@ class Diode(Device):
 
     def current(self, vd):
         """Junction current and small-signal conductance at voltage vd."""
-        e, de = limexp(np.asarray(vd) / self.vt)
-        i = self.isat * (e - 1.0) + self.gmin * vd
-        g = self.isat * de / self.vt + self.gmin
-        return i, g
-
-    def nl_eval(self, V):
-        vd = V[0] - V[1]
-        i, g = self.current(vd)
-        f = np.stack([i, -i])
-        df = np.empty((2, 2, V.shape[1]))
-        df[0, 0], df[0, 1] = g, -g
-        df[1, 0], df[1, 1] = -g, g
-        qd = self.tt * i + self.cj0 * vd
-        cq = self.tt * g + self.cj0
-        q = np.stack([qd, -qd])
-        dq = np.empty((2, 2, V.shape[1]))
-        dq[0, 0], dq[0, 1] = cq, -cq
-        dq[1, 0], dq[1, 1] = -cq, cq
-        return f, q, df, dq
+        return _junction(np.asarray(vd), self.isat, self.vt, self.gmin)
 
     def nl_group_key(self):
         return "diode"
@@ -713,17 +714,11 @@ class Diode(Device):
 
     @classmethod
     def nl_eval_group(cls, params, V):
-        # mirrors nl_eval/current with a leading device axis; parameter
-        # columns broadcast against the (d, m) sample planes
-        isat = params["isat"]
-        vt = params["vt"]
-        gmin = params["gmin"]
+        # parameter columns broadcast against the (d, m) sample planes
         tt = params["tt"]
         cj0 = params["cj0"]
         vd = V[:, 0] - V[:, 1]
-        e, de = limexp(vd / vt)
-        i = isat * (e - 1.0) + gmin * vd
-        g = isat * de / vt + gmin
+        i, g = _junction(vd, params["isat"], params["vt"], params["gmin"])
         f = np.stack([i, -i], axis=1)
         d, m = vd.shape
         df = np.empty((d, 2, 2, m))
@@ -755,6 +750,20 @@ class Diode(Device):
                 psd=shot_psd,
             )
         ]
+
+
+def _ebers_moll(vbe, vbc, isat, vt, gmin, beta_f, beta_r):
+    """Ebers-Moll transport currents at junction voltages ``vbe``, ``vbc``.
+
+    Returns ``(ic, ib, kr, (i_f, gf), (i_r, gr))``: the collector current
+    ``ic = i_f - kr i_r`` with ``kr = 1 + 1/beta_r``, the base current
+    ``ib = i_f/beta_f + i_r/beta_r``, and the forward and reverse
+    junction currents they are made of, with their conductances.
+    """
+    i_f, gf = _junction(vbe, isat, vt, gmin)
+    i_r, gr = _junction(vbc, isat, vt, gmin)
+    kr = 1.0 + 1.0 / beta_r
+    return i_f - i_r * kr, i_f / beta_f + i_r / beta_r, kr, (i_f, gf), (i_r, gr)
 
 
 class BJT(Device):
@@ -826,7 +835,8 @@ class BJT(Device):
             dib = dif / self.beta_f + dir_ / self.beta_r
             dqbe = self.tf * dif
         elif name in ("beta_f", "beta_r", "tf"):
-            i_f, i_r, _, _ = self._junction_currents(vbe, vbc)
+            i_f, _ = _junction(vbe, self.isat, self.vt, self.gmin)
+            i_r, _ = _junction(vbc, self.isat, self.vt, self.gmin)
             if name == "beta_f":
                 dic, dib = z, -i_f / self.beta_f**2
             elif name == "beta_r":
@@ -851,59 +861,6 @@ class BJT(Device):
         idx = np.array(self.node_idx)
         return idx, idx
 
-    def _junction_currents(self, vbe, vbc):
-        ef, def_ = limexp(vbe / self.vt)
-        er, der = limexp(vbc / self.vt)
-        i_f = self.isat * (ef - 1.0) + self.gmin * vbe
-        i_r = self.isat * (er - 1.0) + self.gmin * vbc
-        gf = self.isat * def_ / self.vt + self.gmin
-        gr = self.isat * der / self.vt + self.gmin
-        return i_f, i_r, gf, gr
-
-    def nl_eval(self, V):
-        p = self.polarity
-        vc, vb, ve = V
-        vbe = p * (vb - ve)
-        vbc = p * (vb - vc)
-        i_f, i_r, gf, gr = self._junction_currents(vbe, vbc)
-
-        kr = 1.0 + 1.0 / self.beta_r
-        ic = i_f - i_r * kr
-        ib = i_f / self.beta_f + i_r / self.beta_r
-        ie = -(ic + ib)
-
-        m = V.shape[1]
-        f = p * np.stack([ic, ib, ie])
-        # partials w.r.t. (vbe, vbc)
-        dic = np.stack([gf, -gr * kr])
-        dib = np.stack([gf / self.beta_f, gr / self.beta_r])
-        die = -(dic + dib)
-        # chain rule to node voltages (vc, vb, ve); the two polarity
-        # factors (current sign and junction-voltage sign) cancel.
-        dvbe = np.array([0.0, 1.0, -1.0])
-        dvbc = np.array([-1.0, 1.0, 0.0])
-        df = np.empty((3, 3, m))
-        for row, dterm in enumerate((dic, dib, die)):
-            for col in range(3):
-                df[row, col] = dterm[0] * dvbe[col] + dterm[1] * dvbc[col]
-
-        # charges: qbe = tf*IF + cje*vbe on the B-E junction, qbc = cjc*vbc
-        qbe = self.tf * i_f + self.cje * vbe
-        qbc = self.cjc * vbc
-        cbe = self.tf * gf + self.cje
-        cbc = np.full(m, self.cjc)
-        # charge leaves base into emitter/collector terminals
-        q = p * np.stack([-qbc, qbe + qbc, -qbe])
-        dq = np.empty((3, 3, m))
-        # terminal charge partials via the same chain rule
-        dq_c = np.stack([np.zeros(m), -cbc])  # d(-qbc)/d(vbe,vbc)
-        dq_b = np.stack([cbe, cbc])
-        dq_e = np.stack([-cbe, np.zeros(m)])
-        for row, dterm in enumerate((dq_c, dq_b, dq_e)):
-            for col in range(3):
-                dq[row, col] = dterm[0] * dvbe[col] + dterm[1] * dvbc[col]
-        return f, q, df, dq
-
     def nl_group_key(self):
         return "bjt"
 
@@ -913,11 +870,7 @@ class BJT(Device):
 
     @classmethod
     def nl_eval_group(cls, params, V):
-        # mirrors nl_eval/_junction_currents with a leading device axis
         p = params["polarity"]
-        isat = params["isat"]
-        vt = params["vt"]
-        gmin = params["gmin"]
         beta_f = params["beta_f"]
         beta_r = params["beta_r"]
         tf = params["tf"]
@@ -927,23 +880,19 @@ class BJT(Device):
         vc, vb, ve = V[:, 0], V[:, 1], V[:, 2]
         vbe = p * (vb - ve)
         vbc = p * (vb - vc)
-        ef, def_ = limexp(vbe / vt)
-        er, der = limexp(vbc / vt)
-        i_f = isat * (ef - 1.0) + gmin * vbe
-        i_r = isat * (er - 1.0) + gmin * vbc
-        gf = isat * def_ / vt + gmin
-        gr = isat * der / vt + gmin
-
-        kr = 1.0 + 1.0 / beta_r
-        ic = i_f - i_r * kr
-        ib = i_f / beta_f + i_r / beta_r
+        ic, ib, kr, (i_f, gf), (_, gr) = _ebers_moll(
+            vbe, vbc, params["isat"], params["vt"], params["gmin"], beta_f, beta_r
+        )
         ie = -(ic + ib)
 
         d, m = vbe.shape
         f = p[:, None] * np.stack([ic, ib, ie], axis=1)
+        # partials w.r.t. (vbe, vbc)
         dic = np.stack([gf, -gr * kr], axis=1)
         dib = np.stack([gf / beta_f, gr / beta_r], axis=1)
         die = -(dic + dib)
+        # chain rule to node voltages (vc, vb, ve); the two polarity
+        # factors (current sign and junction-voltage sign) cancel
         dvbe = np.array([0.0, 1.0, -1.0])
         dvbc = np.array([-1.0, 1.0, 0.0])
         df = np.empty((d, 3, 3, m))
@@ -951,12 +900,15 @@ class BJT(Device):
             for col in range(3):
                 df[:, row, col] = dterm[:, 0] * dvbe[col] + dterm[:, 1] * dvbc[col]
 
+        # charges: qbe = tf*IF + cje*vbe on the B-E junction, qbc = cjc*vbc
         qbe = tf * i_f + cje * vbe
         qbc = cjc * vbc
         cbe = tf * gf + cje
         cbc = np.broadcast_to(cjc, (d, m))
+        # charge leaves base into emitter/collector terminals
         q = p[:, None] * np.stack([-qbc, qbe + qbc, -qbe], axis=1)
         dq = np.empty((d, 3, 3, m))
+        # terminal charge partials via the same chain rule
         zeros = np.zeros((d, m))
         dq_c = np.stack([zeros, -cbc], axis=1)
         dq_b = np.stack([np.broadcast_to(cbe, (d, m)), cbc], axis=1)
@@ -976,9 +928,9 @@ class BJT(Device):
             ve = X[ne] if ne >= 0 else 0.0
             vbe = p * (np.asarray(vb) - ve)
             vbc = p * (np.asarray(vb) - vc)
-            i_f, i_r, _, _ = self._junction_currents(vbe, vbc)
-            ic = i_f - i_r * (1.0 + 1.0 / self.beta_r)
-            ib = i_f / self.beta_f + i_r / self.beta_r
+            ic, ib, _, _, _ = _ebers_moll(
+                vbe, vbc, self.isat, self.vt, self.gmin, self.beta_f, self.beta_r
+            )
             return ic, ib
 
         def psd_ic(X):
@@ -993,6 +945,42 @@ class BJT(Device):
             NoiseSource(f"{self.name}.ic_shot", np.array([nc, ne]), np.array([1.0, -1.0]), psd_ic),
             NoiseSource(f"{self.name}.ib_shot", np.array([nb, ne]), np.array([1.0, -1.0]), psd_ib),
         ]
+
+
+def _square_law(vd, vg, vs, p, kp, vth, lam):
+    """Level-1 drain current at terminal voltages ``vd``, ``vg``, ``vs``.
+
+    Where ``p (vd - vs) < 0`` the channel conducts with drain and source
+    exchanged (``swap``): ``ids`` (without ``gmin``) and its partials
+    ``gm`` over ``vgs`` and ``go`` over ``vds`` are then those of the
+    electrically equivalent forward device, at ``vds = |p (vd - vs)|``.
+    Returns ``(ids, gm, go, vds, swap)``.
+    """
+    vds_raw = p * (vd - vs)
+    swap = vds_raw < 0.0
+    vgs = np.where(swap, p * (vg - vd), p * (vg - vs))
+    vds = np.abs(vds_raw)
+    vov = vgs - vth
+    on = vov > 0.0
+    sat = vds >= vov
+    clm = 1.0 + lam * vds
+
+    ids_sat = 0.5 * kp * vov**2 * clm
+    g_sat = kp * vov * clm
+    go_sat = 0.5 * kp * vov**2 * lam
+
+    ids_tri = kp * (vov - 0.5 * vds) * vds * clm
+    g_tri = kp * vds * clm
+    go_tri = kp * (vov - vds) * clm + kp * (vov - 0.5 * vds) * vds * lam
+
+    ids = np.where(sat, ids_sat, ids_tri)
+    gm = np.where(sat, g_sat, g_tri)
+    go = np.where(sat, go_sat, go_tri)
+    zero = np.zeros_like(ids)
+    ids = np.where(on, ids, zero)
+    gm = np.where(on, gm, zero)
+    go = np.where(on, go, zero)
+    return ids, gm, go, vds, swap
 
 
 class MOSFET(Device):
@@ -1046,22 +1034,17 @@ class MOSFET(Device):
                 return f, np.stack([z, dqs, -dqs])
             dqd = -(vg - vd)
             return f, np.stack([dqd, -dqd, z])
-        vds_raw = p * (vd - vs)
-        swap = vds_raw < 0.0
-        vgs = np.where(swap, p * (vg - vd), p * (vg - vs))
-        vds = np.abs(vds_raw)
+        ids, gm, _, vds, swap = _square_law(vd, vg, vs, p, self.kp, self.vth, self.lam)
         if name == "gmin":
             dids = vds
+        elif name == "kp":
+            dids = ids / self.kp
+        elif name == "vth":
+            dids = -gm
+        elif name == "lam":
+            dids = ids * vds / (1.0 + self.lam * vds)
         else:
-            ids, gm, _ = self._ids(vgs, vds)
-            if name == "kp":
-                dids = ids / self.kp
-            elif name == "vth":
-                dids = -gm
-            elif name == "lam":
-                dids = ids * vds / (1.0 + self.lam * vds)
-            else:
-                return super().nl_dfdp(V, name)
+            return super().nl_dfdp(V, name)
         sign = np.where(swap, -1.0, 1.0)
         di_d = p * sign * dids
         return np.stack([di_d, z, -di_d]), np.zeros((3, m))
@@ -1070,122 +1053,33 @@ class MOSFET(Device):
         idx = np.array(self.node_idx)
         return idx, idx
 
-    def _ids(self, vgs, vds):
-        """Drain current and partials for vds >= 0 (vectorized)."""
-        vov = vgs - self.vth
-        on = vov > 0.0
-        sat = vds >= vov
-        kp, lam = self.kp, self.lam
-        clm = 1.0 + lam * vds
-
-        ids_sat = 0.5 * kp * vov**2 * clm
-        g_sat = kp * vov * clm
-        go_sat = 0.5 * kp * vov**2 * lam
-
-        ids_tri = kp * (vov - 0.5 * vds) * vds * clm
-        g_tri = kp * vds * clm
-        go_tri = kp * (vov - vds) * clm + kp * (vov - 0.5 * vds) * vds * lam
-
-        ids = np.where(sat, ids_sat, ids_tri)
-        gm = np.where(sat, g_sat, g_tri)
-        go = np.where(sat, go_sat, go_tri)
-        zero = np.zeros_like(ids)
-        ids = np.where(on, ids, zero)
-        gm = np.where(on, gm, zero)
-        go = np.where(on, go, zero)
-        return ids, gm, go
-
-    def nl_eval(self, V):
-        p = self.polarity
-        vd, vg, vs = V
-        vds_raw = p * (vd - vs)
-        swap = vds_raw < 0.0
-        # operate on the electrically equivalent forward device
-        vgs = np.where(swap, p * (vg - vd), p * (vg - vs))
-        vds = np.abs(vds_raw)
-        ids, gm, go = self._ids(vgs, vds)
-        ids = ids + self.gmin * vds
-        go = go + self.gmin
-
-        m = V.shape[1]
-        # current flows drain -> source for the forward device; flip on swap
-        sign = np.where(swap, -1.0, 1.0)
-        i_d = p * sign * ids
-        f = np.stack([i_d, np.zeros(m), -i_d])
-
-        # partials of i_d w.r.t. (vd, vg, vs); polarity cancels as in BJT
-        df = np.zeros((3, 3, m))
-        # forward: d i/d vd = go ; d i/d vg = gm ; d i/d vs = -(gm+go)
-        did_vd = np.where(swap, gm + go, go)
-        did_vg = np.where(swap, -gm, gm)
-        did_vs = np.where(swap, -go, -(gm + go))
-        df[0, 0], df[0, 1], df[0, 2] = did_vd, did_vg, did_vs
-        df[2, 0], df[2, 1], df[2, 2] = -did_vd, -did_vg, -did_vs
-
-        # linear gate caps
-        qg = self.cgs * (vg - vs) + self.cgd * (vg - vd)
-        q = np.stack([-self.cgd * (vg - vd), qg, -self.cgs * (vg - vs)])
-        dq = np.zeros((3, 3, m))
-        dq[0, 0], dq[0, 1] = self.cgd, -self.cgd
-        dq[1, 0], dq[1, 1], dq[1, 2] = -self.cgd, self.cgs + self.cgd, -self.cgs
-        dq[2, 1], dq[2, 2] = -self.cgs, self.cgs
-        return f, q, df, dq
-
     def nl_group_key(self):
         return "mosfet"
-
-    @staticmethod
-    def _ids_group(vgs, vds, kp, vth, lam):
-        # mirrors _ids with (d, 1) parameter columns
-        vov = vgs - vth
-        on = vov > 0.0
-        sat = vds >= vov
-        clm = 1.0 + lam * vds
-
-        ids_sat = 0.5 * kp * vov**2 * clm
-        g_sat = kp * vov * clm
-        go_sat = 0.5 * kp * vov**2 * lam
-
-        ids_tri = kp * (vov - 0.5 * vds) * vds * clm
-        g_tri = kp * vds * clm
-        go_tri = kp * (vov - vds) * clm + kp * (vov - 0.5 * vds) * vds * lam
-
-        ids = np.where(sat, ids_sat, ids_tri)
-        gm = np.where(sat, g_sat, g_tri)
-        go = np.where(sat, go_sat, go_tri)
-        zero = np.zeros_like(ids)
-        ids = np.where(on, ids, zero)
-        gm = np.where(on, gm, zero)
-        go = np.where(on, go, zero)
-        return ids, gm, go
 
     nl_group_params = ("polarity", "kp", "vth", "lam", "gmin", "cgs", "cgd")
 
     @classmethod
     def nl_eval_group(cls, params, V):
-        # mirrors nl_eval with a leading device axis
         p = params["polarity"]
-        kp = params["kp"]
-        vth = params["vth"]
-        lam = params["lam"]
         gmin = params["gmin"]
         cgs = params["cgs"]
         cgd = params["cgd"]
 
         vd, vg, vs = V[:, 0], V[:, 1], V[:, 2]
-        vds_raw = p * (vd - vs)
-        swap = vds_raw < 0.0
-        vgs = np.where(swap, p * (vg - vd), p * (vg - vs))
-        vds = np.abs(vds_raw)
-        ids, gm, go = cls._ids_group(vgs, vds, kp, vth, lam)
+        ids, gm, go, vds, swap = _square_law(
+            vd, vg, vs, p, params["kp"], params["vth"], params["lam"]
+        )
         ids = ids + gmin * vds
         go = go + gmin
 
         d, m = vds.shape
+        # current flows drain -> source for the forward device; flip on swap
         sign = np.where(swap, -1.0, 1.0)
         i_d = p * sign * ids
         f = np.stack([i_d, np.zeros((d, m)), -i_d], axis=1)
 
+        # partials of i_d w.r.t. (vd, vg, vs); polarity cancels as in BJT
+        # forward: d i/d vd = go ; d i/d vg = gm ; d i/d vs = -(gm+go)
         df = np.zeros((d, 3, 3, m))
         did_vd = np.where(swap, gm + go, go)
         did_vg = np.where(swap, -gm, gm)
@@ -1193,6 +1087,7 @@ class MOSFET(Device):
         df[:, 0, 0], df[:, 0, 1], df[:, 0, 2] = did_vd, did_vg, did_vs
         df[:, 2, 0], df[:, 2, 1], df[:, 2, 2] = -did_vd, -did_vg, -did_vs
 
+        # linear gate caps
         qg = cgs * (vg - vs) + cgd * (vg - vd)
         q = np.stack([-cgd * (vg - vd), qg, -cgs * (vg - vs)], axis=1)
         dq = np.zeros((d, 3, 3, m))
@@ -1209,9 +1104,9 @@ class MOSFET(Device):
             vd = X[nd] if nd >= 0 else 0.0
             vg = X[ng] if ng >= 0 else 0.0
             vs = X[ns] if ns >= 0 else 0.0
-            vgs = p * (np.asarray(vg) - vs)
-            vds = np.abs(p * (np.asarray(vd) - vs))
-            _, gm, _ = self._ids(np.asarray(vgs), np.asarray(vds))
+            _, gm, _, _, _ = _square_law(
+                np.asarray(vd), vg, vs, p, self.kp, self.vth, self.lam
+            )
             # channel thermal noise 4kT (2/3) gm
             return 4.0 * BOLTZMANN * self.temp * (2.0 / 3.0) * gm
 
@@ -1281,6 +1176,14 @@ class NonlinearCapacitor(Device):
         return f, q, df, dq
 
 
+def _switch_conductance(vc, g_on, g_off, sharpness):
+    """Switch conductance at control voltage ``vc`` and its slope."""
+    th = np.tanh(sharpness * vc)
+    g = g_off + (g_on - g_off) * 0.5 * (1.0 + th)
+    dg = (g_on - g_off) * 0.5 * sharpness * (1.0 - th**2)
+    return g, dg
+
+
 class SwitchConductance(Device):
     """Voltage-controlled smooth switch, the idealized mixing element.
 
@@ -1337,26 +1240,7 @@ class SwitchConductance(Device):
         return idx, idx[:2]
 
     def conductance(self, vc):
-        th = np.tanh(self.sharpness * vc)
-        g = self.g_off + (self.g_on - self.g_off) * 0.5 * (1.0 + th)
-        dg = (self.g_on - self.g_off) * 0.5 * self.sharpness * (1.0 - th**2)
-        return g, dg
-
-    def nl_eval(self, V):
-        v1, v2, cp, cn = V
-        vc = cp - cn
-        vs = v1 - v2
-        g, dg = self.conductance(vc)
-        i = g * vs
-        m = V.shape[1]
-        f = np.stack([i, -i])
-        df = np.empty((2, 4, m))
-        df[0, 0], df[0, 1] = g, -g
-        df[0, 2], df[0, 3] = dg * vs, -dg * vs
-        df[1] = -df[0]
-        q = np.zeros((2, m))
-        dq = np.zeros((2, 4, m))
-        return f, q, df, dq
+        return _switch_conductance(vc, self.g_on, self.g_off, self.sharpness)
 
     def nl_group_key(self):
         return "switch"
@@ -1365,16 +1249,12 @@ class SwitchConductance(Device):
 
     @classmethod
     def nl_eval_group(cls, params, V):
-        # mirrors nl_eval/conductance with a leading device axis
-        g_on = params["g_on"]
-        g_off = params["g_off"]
-        sharpness = params["sharpness"]
         v1, v2, cp, cn = V[:, 0], V[:, 1], V[:, 2], V[:, 3]
         vc = cp - cn
         vs = v1 - v2
-        th = np.tanh(sharpness * vc)
-        g = g_off + (g_on - g_off) * 0.5 * (1.0 + th)
-        dg = (g_on - g_off) * 0.5 * sharpness * (1.0 - th**2)
+        g, dg = _switch_conductance(
+            vc, params["g_on"], params["g_off"], params["sharpness"]
+        )
         i = g * vs
         d, m = vc.shape
         f = np.stack([i, -i], axis=1)

@@ -13,16 +13,18 @@ where one Newton iteration touches an entire periodic grid).
 Device evaluation
 -----------------
 Nonlinear devices are grouped by type (``Device.nl_group_key``) and each
-group is evaluated as one numpy batch (``Device.nl_eval_group``) with
-parameter columns it gathers again only after one of its own devices
-moved its version (``Device.set_param``).
+group is evaluated as one numpy batch through its class's group kernel
+(``Device.nl_eval_group``, the one implementation of each batchable
+model; ``Device.nl_eval`` runs it on a group of one), with parameter
+columns it gathers again only after one of its own devices moved its
+version (``Device.set_param``).
 One pass over the groups serves ``f``, ``q``, ``G``, ``C``,
 ``batch_fq`` (both terms: use it when both are needed) and
 ``batch_jacobians`` alike, scattering through index arrays built at
-compile time.  Groups follow one canonical device order, and the batch
-mirrors ``Device.nl_eval`` operation for operation, so every output is
-bit-identical to a per-device loop over that order — the tests keep
-such a loop (``tests/stamp_reference.py``) as the reference.
+compile time.  Groups follow one canonical device order, so every
+output is bit-identical to a per-device loop over that order.  The
+tests keep such a loop, with independent per-device kernels
+(``tests/stamp_reference.py``), as the reference.
 
 Linear stamps
 -------------

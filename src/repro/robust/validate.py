@@ -9,8 +9,10 @@ Four families of checks, each returning a
   non-finite device parameters.  Works on a :class:`Circuit` or a
   compiled :class:`MNASystem` (anything with a ``.devices`` list) and
   never calls the numerical evaluators, so fault-injection proxies pass
-  through untouched.  :func:`preflight` keeps the topology half once per
-  compiled system and the parameter half per device version.
+  through untouched.  A compiled system keeps its lint
+  (:func:`lint_compiled`, shared by ``Circuit.compile`` and
+  :func:`preflight`): the topology half once, the parameter half per
+  device version.
 * :func:`lint_mna` — numerical health of the compiled system: a
   conditioning estimate of the DC Jacobian, scaling/equilibration
   advice, and an automatic gmin recommendation.
@@ -787,7 +789,6 @@ class _CircuitLint:
     def report(self, devices) -> ValidationReport:
         """A fresh :func:`lint_circuit` report, in its order, re-linting
         only the devices whose version moved."""
-        t0 = time.perf_counter()
         seen, per_device, flat = self.params
         # read before the lint: a racing set_param stays marked
         now = [dev.version for dev in devices]
@@ -806,12 +807,25 @@ class _CircuitLint:
             dataclasses.replace(d, detail=dict(d.detail))
             for d in itertools.chain(flat, self.topology)
         ]
-        rep.wall_time = time.perf_counter() - t0
         return rep
 
 
 #: compiled system -> its _CircuitLint, dropped with the system
 _CIRCUIT_LINTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def lint_compiled(system) -> ValidationReport:
+    """:func:`lint_circuit`'s report for a compiled ``MNASystem``, from
+    the lint the system keeps: made on the first call (by
+    :meth:`~repro.netlist.circuit.Circuit.compile`), after which only
+    devices whose version moved are linted again."""
+    t0 = time.perf_counter()
+    kept = _CIRCUIT_LINTS.get(system)
+    if kept is None:
+        kept = _CIRCUIT_LINTS[system] = _CircuitLint(system.devices)
+    rep = kept.report(system.devices)
+    rep.wall_time = time.perf_counter() - t0
+    return rep
 
 
 def preflight(
@@ -829,9 +843,11 @@ def preflight(
     evaluators, which must not consume scheduled faults on injection
     proxies).
 
-    On a genuine ``MNASystem`` the circuit lint is cached: the topology
-    half once per compiled system (compilation fixes device kinds and
-    nodes), the parameter half per device version, so a call after a
+    On a genuine ``MNASystem`` the circuit lint is the one the system
+    keeps (:func:`lint_compiled`): the topology half once per compiled
+    system (compilation fixes device kinds and nodes), the parameter
+    half per device version, so a system's first pre-flight lints
+    nothing its compile did not, and a call after a
     ``Device.set_param`` re-lints only the devices that changed.  The
     report equals a fresh :func:`lint_circuit`'s, diagnostic for
     diagnostic and in the same order.
@@ -839,13 +855,7 @@ def preflight(
     from repro.netlist.mna import MNASystem
 
     genuine = isinstance(system, MNASystem)
-    if genuine:
-        kept = _CIRCUIT_LINTS.get(system)
-        if kept is None:
-            kept = _CIRCUIT_LINTS[system] = _CircuitLint(system.devices)
-        rep = kept.report(system.devices)
-    else:
-        rep = lint_circuit(system)
+    rep = lint_compiled(system) if genuine else lint_circuit(system)
     rep.subject = f"{analysis or 'solve'}-preflight"
     if analysis:
         rep.merge(lint_analysis(system, analysis, **setup))

@@ -202,6 +202,41 @@ class TestChangeSignal:
         assert system.G_lin is not G_old
         np.testing.assert_array_equal(G_old.data, data)
 
+    def test_compile_and_first_preflight_lint_once(self, monkeypatch):
+        import repro.robust.validate as validate
+
+        ckt = Circuit("lint once")
+        ckt.vsource("V1", "a", "0", 1.0)
+        r1 = ckt.resistor("R1", "a", "b", 1e3)
+        ckt.diode("D1", "b", "0", cj0=-1e-12)  # DEV_NEGATIVE_PARAM
+        ckt.capacitor("C1", "b", "c", 1e-12)  # c: no DC path, dangling
+        r1.set_param("resistance", -5.0)  # DEV_NONPOSITIVE_PARAM
+        linted, topologies = [], []
+        lint_device, lint_topology = validate._lint_device_params, validate._lint_topology
+
+        def count_device(dev, rep):
+            linted.append(dev.name)
+            lint_device(dev, rep)
+
+        def count_topology(devices, rep):
+            topologies.append(len(devices))
+            lint_topology(devices, rep)
+
+        monkeypatch.setattr(validate, "_lint_device_params", count_device)
+        monkeypatch.setattr(validate, "_lint_topology", count_topology)
+        system = ckt.compile()
+        preflight(system, "dc")
+        assert sorted(linted) == sorted(dev.name for dev in system.devices)
+        assert topologies == [len(system.devices)]
+        monkeypatch.undo()
+        fresh = lint_circuit(system)
+        assert {"DEV_NONPOSITIVE_PARAM", "DEV_NEGATIVE_PARAM", "TOPO_NO_DC_PATH"} <= {
+            d.code for d in fresh.diagnostics
+        }
+        # code, severity, location, message, suggestion, detail, in order
+        assert system.validation.diagnostics == fresh.diagnostics
+        assert system.validation.subject == fresh.subject
+
     def test_preflight_returns_independent_copies(self):
         ckt = Circuit("bad")
         ckt.vsource("V1", "a", "0", 1.0)

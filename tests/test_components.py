@@ -6,6 +6,8 @@ and ``dq`` blocks match finite differences of ``f`` and ``q`` for
 arbitrary operating points.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -157,6 +159,21 @@ class TestBJT:
     def test_noise_sources_exist(self):
         assert len(make_bjt().noise_sources()) == 2
 
+    @pytest.mark.parametrize("polarity", [1, -1])
+    def test_shot_noise_closed_form(self, polarity):
+        q = make_bjt(polarity)
+        # forward active and saturated columns, node voltages (c, b, e)
+        X = polarity * np.array([[2.0, 0.2], [0.65, 0.7], [0.0, 0.0]])
+        psd_ic, psd_ib = (src.psd_at(X) for src in q.noise_sources())
+        two_q = 2.0 * cmp.ELEMENTARY_CHARGE
+        for k, (vc, vb, ve) in enumerate(polarity * X.T):
+            i_f = q.isat * (math.exp((vb - ve) / q.vt) - 1.0) + q.gmin * (vb - ve)
+            i_r = q.isat * (math.exp((vb - vc) / q.vt) - 1.0) + q.gmin * (vb - vc)
+            ic = i_f - i_r * (1.0 + 1.0 / q.beta_r)
+            ib = i_f / q.beta_f + i_r / q.beta_r
+            assert psd_ic[k] == pytest.approx(two_q * abs(ic), rel=1e-12)
+            assert psd_ib[k] == pytest.approx(two_q * abs(ib), rel=1e-12)
+
 
 class TestMOSFET:
     @given(vd=volt, vg=volt, vs=volt)
@@ -195,6 +212,28 @@ class TestMOSFET:
         m = make_mosfet()
         f, _, _, _ = m.nl_eval(np.array([[1.0], [1.5], [0.0]]))
         assert f[1, 0] == 0.0
+
+    def test_channel_noise_closed_form(self):
+        m = make_mosfet()
+        # saturation (vds >= vov) and triode columns, node voltages (d, g, s)
+        X = np.array([[1.0, 0.3], [1.2, 1.2], [0.0, 0.0]])
+        psd = m.noise_sources()[0].psd_at(X)
+        vov = 1.2 - m.vth
+        gm = [m.kp * vov * (1.0 + m.lam * 1.0), m.kp * 0.3 * (1.0 + m.lam * 0.3)]
+        want = 4.0 * cmp.BOLTZMANN * m.temp * (2.0 / 3.0) * np.array(gm)
+        np.testing.assert_allclose(psd, want, rtol=1e-12)
+
+    def test_channel_noise_follows_the_swap(self):
+        # drain below source: the channel conducts with the two exchanged,
+        # so its noise is that of the device with the labels exchanged
+        m = make_mosfet()
+        X = np.array([[0.0], [1.2], [1.0]])
+        f, _, _, _ = m.nl_eval(X)
+        assert f[0, 0] < 0
+        src = m.noise_sources()[0]
+        psd = src.psd_at(X)
+        assert psd[0] > 0
+        np.testing.assert_array_equal(psd, src.psd_at(X[[2, 1, 0]]))
 
 
 class TestSwitchConductance:

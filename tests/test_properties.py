@@ -11,7 +11,11 @@ from repro.mpde import Axis, MPDEGrid
 from repro.netlist import Circuit, Sine
 from repro.rom import DescriptorSystem, arnoldi, pvl
 
-from .stamp_reference import ReferenceMNASystem, assert_block_pattern_matches_coo
+from .stamp_reference import (
+    REFERENCE_KERNELS,
+    ReferenceMNASystem,
+    assert_block_pattern_matches_coo,
+)
 
 pos_r = st.floats(min_value=1.0, max_value=1e6)
 pos_c = st.floats(min_value=1e-15, max_value=1e-6)
@@ -396,6 +400,18 @@ class TestVectorizedStamping:
         np.testing.assert_array_equal(gv, gs)
         np.testing.assert_array_equal(cv, cs)
 
+        # a device's nl_eval (its group kernel on a group of one) is its
+        # slice of the whole group's output: nl_dfdp's finite-difference
+        # fallback relies on it
+        for grp in sys_vec._nl_groups:
+            if not grp.batched:
+                continue
+            V = np.where(grp.var_mask, X[grp.var_safe], 0.0)
+            terms = grp.eval(X)
+            for k, dev in enumerate(grp.devices):
+                for got, want in zip(dev.nl_eval(V[k]), terms):
+                    np.testing.assert_array_equal(got, want[k])
+
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n_devices=st.integers(min_value=2, max_value=14),
@@ -406,6 +422,18 @@ class TestVectorizedStamping:
         rng = np.random.default_rng(seed)
         system = self._random_circuit(rng, n_devices).compile()
         assert_block_pattern_matches_coo(system, m, rng)
+
+    def test_every_group_kernel_has_a_reference_kernel(self):
+        from repro.netlist import components
+
+        batched = {
+            cls
+            for cls in vars(components).values()
+            if isinstance(cls, type)
+            and issubclass(cls, components.Device)
+            and cls.nl_eval_group.__func__ is not components.Device.nl_eval_group.__func__
+        }
+        assert batched == set(REFERENCE_KERNELS)
 
     def test_stamp_mode_env_and_validation(self, monkeypatch):
         # one evaluator: the stamping-mode switch is gone, so the old
