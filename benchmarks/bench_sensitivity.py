@@ -8,13 +8,15 @@ workload :func:`repro.sensitivity.explore` is built for:
 
 * ``mode="full"`` runs the escalating DC ladder from scratch at every
   corner (factorization per Newton iteration per corner);
-* ``mode="woodbury"`` factors the invariant background once and applies
-  a rank-r correction per iteration (one cached triangular solve + an
-  r×r dense solve), falling back to the full ladder only on stall.
+* ``mode="woodbury"`` factors the invariant background once and iterates
+  chunks of 32 corners together with a rank-r correction per iteration
+  (one cached triangular solve with 32 right-hand sides + a stacked
+  solve of the r×r systems), falling back to the full ladder only on
+  stall.
 
 Both modes must agree to solver tolerance at every corner; the wall
 ratio is the bench's headline.  A second record times adjoint gradients
-riding along (same cached factors, two transpose solves per corner) and
+riding along (same cached factors, two transpose solves per chunk) and
 cross-checks one corner against central differences, tying the bench
 back to the gradient-correctness suite in ``tests/test_sensitivity.py``.
 

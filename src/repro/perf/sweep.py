@@ -167,6 +167,7 @@ __all__ = [
     "resolve_timeout",
     "resolve_retries",
     "resolve_checkpoint",
+    "resolve_fault_policy",
     "resolve_max_item_records",
     "sweep_map",
 ]
@@ -468,6 +469,41 @@ def resolve_max_item_records(value=None) -> int:
             f"max_item_records must be an integer >= 0, got {value!r}"
         )
     return n
+
+
+def resolve_fault_policy(
+    on_item_failure: Optional[str] = None,
+    timeout: Optional[float] = None,
+    retries: Optional[int] = None,
+    checkpoint=None,
+) -> tuple:
+    """:func:`sweep_map`'s fault-tolerance knobs, resolved, and whether
+    they arm it.
+
+    Returns ``(on_item_failure, timeout, retries, checkpoint, chaos,
+    armed)``: each knob as :func:`sweep_map` resolves it (explicit
+    argument, else environment), ``chaos`` the active harness when it
+    has ``items`` faults and None otherwise.  An armed sweep keeps its
+    per-item ledger.  A caller that packs several units of work into one
+    item (``explore``'s corner chunks) sends one unit per item when the
+    sweep is armed, so retries, deadlines, checkpoints, chaos indices and
+    skip holes keep their per-unit meaning.
+    """
+    mode = _resolve_on_item_failure(on_item_failure)
+    eff_timeout = resolve_timeout(timeout)
+    eff_retries = resolve_retries(retries, mode)
+    ckpt_path = resolve_checkpoint(checkpoint)
+    chaos = active_chaos()
+    if chaos is not None and not chaos.faults["items"]:
+        chaos = None  # a harness for other surfaces leaves the sweep unarmed
+    armed = (
+        eff_timeout is not None
+        or ckpt_path is not None
+        or mode != "raise"
+        or eff_retries > 0
+        or chaos is not None
+    )
+    return mode, eff_timeout, eff_retries, ckpt_path, chaos, armed
 
 
 def _resolve_on_item_failure(mode: Optional[str]) -> str:
@@ -1561,10 +1597,9 @@ def sweep_map(
     items = list(items)
     w = resolve_workers(workers)
     requested = resolve_backend(backend)
-    mode = _resolve_on_item_failure(on_item_failure)
-    eff_timeout = resolve_timeout(timeout)
-    eff_retries = resolve_retries(retries, mode)
-    ckpt_path = resolve_checkpoint(checkpoint)
+    mode, eff_timeout, eff_retries, ckpt_path, chaos, armed = resolve_fault_policy(
+        on_item_failure, timeout, retries, checkpoint
+    )
     eff_retry_on = _resolve_retry_on(retry_on)
     if retry_backoff is None:
         backoff_base = _DEFAULT_BACKOFF
@@ -1572,16 +1607,6 @@ def sweep_map(
         backoff_base = float(retry_backoff)
         if backoff_base < 0 or not math.isfinite(backoff_base):
             raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff!r}")
-    chaos = active_chaos()
-    if chaos is not None and not chaos.faults["items"]:
-        chaos = None  # a harness for other surfaces leaves the sweep unarmed
-    armed = (
-        eff_timeout is not None
-        or ckpt_path is not None
-        or mode != "raise"
-        or eff_retries > 0
-        or chaos is not None
-    )
     tr = get_tracer()
     engine = _ResilientSweep(
         fn,

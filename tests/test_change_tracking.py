@@ -25,7 +25,7 @@ from repro.netlist import Circuit
 from repro.netlist import components
 from repro.netlist.components import VCCS, Diode, thermal_voltage
 from repro.robust.validate import lint_analysis, lint_circuit, preflight
-from repro.sensitivity import explore
+from repro.sensitivity import ParamSet, explore
 
 from . import test_properties
 
@@ -318,18 +318,33 @@ class TestExploreKeys:
         system = _explore_system()
         x_ref = dc_analysis(system).x
         obj = explore_module.resolve_state_objective("b", system)
-        task = explore_module._PointTask(
-            system, PARAMS, obj, "woodbury", False, x_ref, 1e-9, 60, 2.0
+        variant = explore_module._variant(system, ParamSet(system, PARAMS))
+        task = explore_module._ChunkTask(
+            system, PARAMS, obj, "woodbury", False, x_ref, 1e-9, 60, 2.0, variant
         )
         st_ = task._build_state()
+        R = variant[0]
+        A0R = system.G(x_ref).tocsr()[R].toarray()
         rng = np.random.default_rng(7)
-        for point in POINTS:
-            st_["ps"].set_values(np.asarray(point))
-            sys_c, R = st_["sys"], st_["R"]
-            x = x_ref + rng.normal(scale=0.05, size=x_ref.size)
-            f, GR = task._pass(st_, x, explore_module._dense_rows(sys_c.G_lin, R))
-            np.testing.assert_array_equal(f, sys_c.f(x))
-            want = sys_c.G(x).tocsr()[R].toarray() - st_["A0R"]
+        # every corner one column of the chunk's batched residual
+        X = x_ref[:, None] + rng.normal(scale=0.05, size=(x_ref.size, len(POINTS)))
+        dL, B, ok = task._load(st_, POINTS)
+        assert ok.all()
+        F, W = task._residual(st_, X, dL, B)
+        for k, point in enumerate(POINTS):
+            ref = copy.deepcopy(system)
+            ParamSet(ref, PARAMS).set_values(np.asarray(point))
+            x = X[:, k]
+            f_nl = ref.f(x) - ref.G_lin @ x
+            # the reference entries plus deltas round differently from
+            # the restamped G_lin: hold F to the scale of its row's terms
+            scale = abs(ref.G_lin) @ abs(x) + abs(f_nl) + abs(ref.b_dc())
+            err = abs(F[:, k] - (ref.f(x) - ref.b_dc()))
+            assert np.all(err <= 1e-14 * scale), (err / scale).max()
+            # V in entry form, summed onto the rows R
+            V = np.zeros_like(A0R)
+            np.add.at(V, (st_["rows"], st_["cols"]), W[:, k])
+            want = ref.G(x).tocsr()[R].toarray() - A0R
             np.testing.assert_allclose(
-                GR - st_["A0R"], want, rtol=1e-14, atol=1e-14 * np.abs(want).max()
+                V, want, rtol=1e-14, atol=1e-14 * np.abs(want).max()
             )

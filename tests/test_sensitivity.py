@@ -17,6 +17,8 @@ against the assembled ``J.T`` directly, since a silently-wrong ``Dᵀ``
 would still converge GMRES — to the wrong vector.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -491,12 +493,132 @@ class TestExplore:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_backends_agree_with_serial(self, backend):
         system = _explore_system()
-        pts = _corner_grid(4)
+        pts = _corner_grid(9)
         serial = explore(system, EXPLORE_PARAMS, "b", pts)
         par = explore(system, EXPLORE_PARAMS, "b", pts,
                       workers=2, backend=backend)
         np.testing.assert_allclose(
             par.objectives, serial.objectives, rtol=1e-12, atol=0
+        )
+
+    def test_corner_answers_do_not_depend_on_their_chunk(self):
+        system = _explore_system()
+        pts = _corner_grid(9)  # 81 corners: chunks of 32, 32 and 17
+        base = explore(system, EXPLORE_PARAMS, "b", pts, gradients=True)
+        rng = np.random.default_rng(11)
+        for order in (np.arange(len(pts))[::-1], rng.permutation(len(pts))):
+            res = explore(system, EXPLORE_PARAMS, "b", [pts[i] for i in order],
+                          gradients=True)
+            np.testing.assert_allclose(
+                res.objectives, base.objectives[order], rtol=1e-12, atol=0
+            )
+            np.testing.assert_allclose(
+                res.gradients, base.gradients[order], rtol=1e-12, atol=0
+            )
+
+    @pytest.mark.parametrize("maxiter", [1, 2])
+    def test_stalled_iterates_are_counted(self, maxiter):
+        system = _explore_system()
+        pts = _corner_grid()
+        full = explore(system, EXPLORE_PARAMS, "b", pts, mode="full")
+        assert full.stats["newton_iterations"] == 190
+        res = explore(system, EXPLORE_PARAMS, "b", pts, maxiter=maxiter)
+        # no corner converges within maxiter: each spends maxiter
+        # Woodbury iterates, then the full solve's own
+        assert res.stats["fallbacks"] == 25
+        assert res.stats["newton_iterations"] == 190 + 25 * maxiter
+        np.testing.assert_allclose(res.objectives, full.objectives, rtol=1e-12)
+
+    def test_stalled_corners_leave_their_chunk(self):
+        system = _explore_system()
+        pts = _corner_grid()
+        full = explore(system, EXPLORE_PARAMS, "b", pts, mode="full",
+                       gradients=True)
+        res = explore(system, EXPLORE_PARAMS, "b", pts, maxiter=4,
+                      gradients=True)
+        assert res.stats["fallbacks"] == 15
+        np.testing.assert_allclose(
+            res.objectives, full.objectives, rtol=1e-7, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            res.gradients, full.gradients, rtol=1e-5, atol=1e-12
+        )
+
+    def test_singular_woodbury_solve_sends_its_corner_alone(self, monkeypatch):
+        explore_module = importlib.import_module("repro.sensitivity.explore")
+        system = _explore_system()
+        pts = _corner_grid()
+        full = explore(system, EXPLORE_PARAMS, "b", pts, mode="full")
+        plain = explore(system, EXPLORE_PARAMS, "b", pts)
+        calls = []
+        real = explore_module._ChunkTask._S
+
+        def singular_once(task, st, W):
+            S = real(task, st, W)
+            if not calls:
+                S[2] = 0.0  # corner 2's S_k, at the first iterate only
+            calls.append(S.shape[0])
+            return S
+
+        monkeypatch.setattr(explore_module._ChunkTask, "_S", singular_once)
+        res = explore(system, EXPLORE_PARAMS, "b", pts)
+        assert calls[0] == len(pts)  # one chunk: the stacked solve met it
+        assert res.stats["fallbacks"] == 1 and plain.stats["fallbacks"] == 0
+        np.testing.assert_allclose(
+            res.objectives, full.objectives, rtol=1e-7, atol=1e-10
+        )
+        others = np.arange(len(pts)) != 2
+        np.testing.assert_array_equal(
+            res.objectives[others], plain.objectives[others]
+        )
+
+    def test_moved_stamp_coordinates_send_the_corner_alone(self):
+        from repro.netlist.components import Resistor
+
+        class Reordered(Resistor):
+            # the same matrix, its entries listed in reverse above 1.5 kΩ
+            def g_stamps(self):
+                stamps = super().g_stamps()
+                return stamps[::-1] if self.resistance > 1.5e3 else stamps
+
+        ckt = Circuit("reordered")
+        ckt.vsource("V1", "in", "0", waveform=3.0)
+        ckt.add(Reordered("R1", "in", "a", 1e3))
+        ckt.diode("D1", "a", "b")
+        ckt.resistor("R2", "b", "0", 2e3)
+        ckt.resistor("R3", "a", "0", 1e4)
+        system = ckt.compile()
+        pts = _corner_grid()
+        full = explore(system, EXPLORE_PARAMS, "b", pts, mode="full",
+                       gradients=True)
+        wood = explore(system, EXPLORE_PARAMS, "b", pts, gradients=True)
+        # R1 = 1625 and 2000 Ω, five corners each
+        assert wood.stats["fallbacks"] == 10
+        np.testing.assert_allclose(
+            wood.objectives, full.objectives, rtol=1e-7, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            wood.gradients, full.gradients, rtol=1e-5, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("params, points", [
+        # a nonlinear device's parameter: one corner per item
+        (["D1.isat", "R2.resistance"],
+         [(i, r) for i in (1e-15, 1e-14, 1e-13) for r in (1e3, 3e3)]),
+        # a source value: a per-corner excitation b
+        (["V1.value", "R1.resistance"],
+         [(v, r) for v in (1.0, 3.0, 5.0) for r in (500.0, 2e3)]),
+    ])
+    def test_nonlinear_and_source_parameters(self, params, points):
+        system = _explore_system()
+        full = explore(system, params, "b", points, mode="full", gradients=True)
+        wood = explore(system, params, "b", points, gradients=True)
+        assert wood.stats["fallbacks"] == 0
+        np.testing.assert_allclose(
+            wood.objectives, full.objectives, rtol=1e-7, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            wood.gradients, full.gradients, rtol=1e-5, atol=1e-12
         )
 
     def test_dict_points_and_best_index(self):
