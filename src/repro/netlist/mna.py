@@ -179,11 +179,16 @@ class MNASystem:
             if (inputs := dev.stamp_inputs())
         ]
         self._node_index = {name: i for i, name in enumerate(node_names)}
-        # first-occurrence wins, matching the historical linear scan for
-        # devices owning several branch currents
+        # first-occurrence wins, matching the historical linear scans:
+        # a device may own several branch currents, and a device list
+        # not built by Circuit may repeat a name
         self._branch_index = {}
         for i, owner in enumerate(self.branch_owner):
             self._branch_index.setdefault(owner, len(self.node_names) + i)
+        self._device_index = {}
+        for k, dev in enumerate(self.devices):
+            self._device_index.setdefault(dev.name, k)
+        self._version = (None, 0)  # (latest_version() seen, max then)
         #: pre-flight ValidationReport attached by Circuit.compile (or None)
         self.validation = None
 
@@ -220,9 +225,17 @@ class MNASystem:
 
         Versions come from one process-wide count that only grows, so
         while one thread sets this system's parameters every
-        ``Device.set_param`` on it moves the maximum.
+        ``Device.set_param`` on it moves the maximum.  The maximum is
+        taken again only after ``latest_version()`` moved, and that is
+        read before the scan, so a racing ``set_param`` leaves the cache
+        marked stale.
         """
-        return max((dev.version for dev in self.devices), default=0)
+        latest = latest_version()
+        seen, version = self._version
+        if seen != latest:
+            version = max((dev.version for dev in self.devices), default=0)
+            self._version = (latest, version)
+        return version
 
     def refresh_stamps(self, linear: bool = True, sources: bool = False) -> None:
         """Bring cached stamp structures up to date after ``set_param``.

@@ -119,11 +119,12 @@ def _variant(system: MNASystem, ps: ParamSet):
     parameters are fixed).
     """
     swept = [bp.device for bp in ps.bound]
-    swept += [
-        system.devices[k] for k, inputs in system._coupled
+    stamped = {system._device_index[dev.name] for dev in swept}
+    stamped.update(
+        k for k, inputs in system._coupled
         if any(dev is s for dev in inputs for s in swept)
-    ]
-    stamped = sorted({system.devices.index(dev) for dev in swept})
+    )
+    stamped = sorted(stamped)
     rows = {
         i for k in stamped for i, _, _ in system.devices[k].g_stamps() if i >= 0
     }

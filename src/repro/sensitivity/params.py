@@ -63,26 +63,26 @@ def _split_spec(spec: ParamSpec) -> Tuple[str, str]:
 def resolve_param(system: MNASystem, spec: ParamSpec) -> BoundParam:
     """Resolve one spec against the compiled system's device list."""
     dev_name, param = _split_spec(spec)
-    for dev in system.devices:
-        if dev.name == dev_name:
-            known = dev.param_names()
-            if param not in known:
-                # anything that is a plain float attribute still works
-                # through the finite-difference fallbacks; validate that
-                # much so typos fail loudly here rather than deep inside
-                # an adjoint sweep
-                try:
-                    dev.get_param(param)
-                except (AttributeError, TypeError) as exc:
-                    raise KeyError(
-                        f"device {dev_name!r} has no scalar parameter {param!r}; "
-                        f"first-class parameters: {known or 'none'}"
-                    ) from exc
-            return BoundParam(dev, param, f"{dev_name}.{param}")
-    raise KeyError(
-        f"no device named {dev_name!r} in {system.title!r} "
-        f"(spec {spec!r})"
-    )
+    k = system._device_index.get(dev_name)
+    if k is None:
+        raise KeyError(
+            f"no device named {dev_name!r} in {system.title!r} "
+            f"(spec {spec!r})"
+        )
+    dev = system.devices[k]
+    known = dev.param_names()
+    if param not in known:
+        # anything that is a plain float attribute still works through
+        # the finite-difference fallbacks; validate that much so typos
+        # fail loudly here rather than deep inside an adjoint sweep
+        try:
+            dev.get_param(param)
+        except (AttributeError, TypeError) as exc:
+            raise KeyError(
+                f"device {dev_name!r} has no scalar parameter {param!r}; "
+                f"first-class parameters: {known or 'none'}"
+            ) from exc
+    return BoundParam(dev, param, f"{dev_name}.{param}")
 
 
 class ParamSet:

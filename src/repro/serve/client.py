@@ -1,4 +1,4 @@
-"""Scripting client for the HTTP front-end (stdlib ``urllib`` only).
+"""Scripting client for the HTTP front-end (stdlib ``http.client`` only).
 
 :class:`ServeClient` is the programmatic face of
 :mod:`repro.serve.http`: submit, poll, fetch — with the retry/backoff a
@@ -7,6 +7,14 @@ real network deserves baked in, so exploration drivers
 of near-duplicate jobs) can treat the service as reliable even when
 individual connections are not:
 
+* each thread holds one persistent HTTP/1.1 connection, so a job's
+  submit, polls and fetch pay for one TCP set-up, not one per request.
+  A connection is dropped after any transport error, a short body or a
+  response that says it will close, and the next request opens a new
+  one.  A request that finds its *reused* connection closed before a
+  status line arrives (the server closes connections idle for its
+  ``request_timeout``) is sent again at once on a new connection,
+  without spending the retry budget;
 * transport failures (refused/reset/dropped connections, torn
   responses) retry on the deterministic-jitter exponential backoff
   ladder the rest of the stack uses
@@ -21,9 +29,11 @@ individual connections are not:
   tampered body is a retryable transport failure, never code
   execution.
 
-The client is deliberately dependency-free and thread-safe (no shared
-mutable state beyond counters guarded by a lock), so N threads sharing
-one client models N design-flow users sharing one service.
+The client is deliberately dependency-free and thread-safe: connections
+are per thread (and per process, so a forked child never writes into
+its parent's socket) and the only shared mutable state is the counters,
+guarded by a lock, so N threads sharing one client model N design-flow
+users sharing one service.
 """
 
 from __future__ import annotations
@@ -34,11 +44,9 @@ import http.client
 import json
 import os
 import pickle
-import socket
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Dict, Optional, Tuple
 
 from ..perf.sweep import backoff_seconds
@@ -81,6 +89,10 @@ class ServeClient:
         Base seconds of the deterministic backoff ladder.
     timeout:
         Per-attempt socket timeout, seconds.
+
+    Each calling thread keeps its own connection open between calls;
+    :meth:`close` (or leaving a ``with`` block) closes the calling
+    thread's connection.
     """
 
     def __init__(
@@ -92,6 +104,12 @@ class ServeClient:
         timeout: float = 30.0,
     ):
         self.base_url = base_url.rstrip("/")
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(
+                f"base_url must look like 'http://host:port', got {base_url!r}"
+            )
+        self._host, self._port, self._prefix = url.hostname, url.port, url.path
         if token is None:
             token = os.environ.get("REPRO_SERVE_TOKEN") or None
         self.token = token
@@ -99,6 +117,7 @@ class ServeClient:
         self.backoff_base = float(backoff_base)
         self.timeout = float(timeout)
         self._lock = threading.Lock()
+        self._local = threading.local()
         self.stats: Dict[str, int] = {
             "requests": 0,
             "retries": 0,
@@ -110,7 +129,67 @@ class ServeClient:
         with self._lock:
             self.stats[name] = self.stats.get(name, 0) + by
 
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the calling thread's connection; the next request on
+        this thread opens a new one."""
+        local = self._local
+        if getattr(local, "pid", None) == os.getpid():
+            local.conn.close()
+
     # -- transport -----------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection object.  Its socket opens on
+        the first request and again after each ``close()``."""
+        local = self._local
+        if getattr(local, "pid", None) != os.getpid():
+            # none on this thread yet, or inherited across a fork: a
+            # child never writes into its parent's socket
+            local.conn = http.client.HTTPConnection(
+                self._host, self._port, timeout=self.timeout
+            )
+            local.pid = os.getpid()
+        return local.conn
+
+    def _exchange(self, method: str, target: str, data, headers):
+        """Send one request on the calling thread's connection and read
+        the whole response; returns ``(status, headers, body bytes)``.
+
+        Any failure closes the connection before it propagates.  A
+        *reused* connection found closed before any answer is the
+        server's idle close (after its ``request_timeout``), so the
+        request goes out once more, at once, on a new connection.
+        """
+        conn = self._connection()
+        try:
+            reused = conn.sock is not None
+            try:
+                self._bump("requests")
+                conn.request(method, target, body=data, headers=headers)
+                resp = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+                self._bump("requests")
+                conn.request(method, target, body=data, headers=headers)
+                resp = conn.getresponse()
+            # a response that says it will close has already dropped
+            # the socket (http.client does so in getresponse)
+            payload = resp.read()
+            promised = resp.getheader("Content-Length")
+            if promised is not None and len(payload) != int(promised):
+                raise http.client.IncompleteRead(payload)
+        except (http.client.HTTPException, OSError):
+            conn.close()
+            raise
+        return resp.status, resp.headers, payload
 
     def _request(
         self, method: str, path: str, body: Optional[Dict] = None
@@ -123,7 +202,7 @@ class ServeClient:
         (2xx/4xx/5xx with a complete response) are returned to the
         caller — a 422 rejection is an answer, not a fault.
         """
-        url = self.base_url + path
+        target = self._prefix + path
         data = None
         headers = {"Accept": "application/json"}
         if body is not None:
@@ -138,40 +217,24 @@ class ServeClient:
                 time.sleep(
                     backoff_seconds(_salt(path), attempt, self.backoff_base)
                 )
-            self._bump("requests")
-            req = urllib.request.Request(
-                url, data=data, headers=headers, method=method
-            )
             try:
-                with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                    payload = resp.read()
-                    promised = resp.headers.get("Content-Length")
-                    if promised is not None and len(payload) != int(promised):
-                        raise http.client.IncompleteRead(payload)
-                    return resp.status, dict(resp.headers), payload
-            except urllib.error.HTTPError as exc:
-                payload = exc.read()
-                if exc.code == 429:
-                    self._bump("throttled")
-                    if attempt < self.retries:
-                        self._sleep_retry_after(exc.headers, attempt, path)
-                        continue
-                    raise ServeClientError(
-                        "server backlogged (429) after retries",
-                        status=429,
-                        body=payload,
-                    )
-                return exc.code, dict(exc.headers), payload
-            except (
-                urllib.error.URLError,
-                http.client.HTTPException,
-                ConnectionError,
-                socket.timeout,
-                TimeoutError,
-                OSError,
-            ) as exc:
+                status, resp_headers, payload = self._exchange(
+                    method, target, data, headers
+                )
+            except (http.client.HTTPException, OSError) as exc:
                 last_exc = exc
                 continue
+            if status == 429:
+                self._bump("throttled")
+                if attempt < self.retries:
+                    self._sleep_retry_after(resp_headers, attempt, path)
+                    continue
+                raise ServeClientError(
+                    "server backlogged (429) after retries",
+                    status=429,
+                    body=payload,
+                )
+            return status, dict(resp_headers), payload
         raise ServeClientError(
             f"{method} {path} failed after {self.retries + 1} attempt(s): "
             f"{last_exc!r}"

@@ -38,6 +38,13 @@ Three service-protection gates, in request order:
   the connection is closed, so a dribbling client cannot park a
   handler thread forever.
 
+Connections are persistent HTTP/1.1 with ``TCP_NODELAY``
+(:class:`~repro.serve.client.ServeClient` keeps one per thread).  The
+server closes a connection after ``request_timeout`` idle seconds, and
+after any answer sent before the request's body was read (401,
+404/405, a missing ``Content-Length``, 413, 408): the unread body would
+otherwise be parsed as the next request.
+
 Every request runs under a ``serve.http.request`` trace span (route
 template + method + status, so id/key cardinality never explodes the
 trace), with ``serve.http.throttled`` / ``serve.http.unauthorized`` /
@@ -81,6 +88,14 @@ _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 
 class _RequestTimeout(Exception):
     """Body did not arrive within the slow-loris deadline."""
+
+
+def _carries_body(headers) -> bool:
+    """Whether a request has body bytes on the wire (any
+    ``Transfer-Encoding``, or a ``Content-Length`` other than 0)."""
+    if "Transfer-Encoding" in headers:
+        return True
+    return (headers.get("Content-Length") or "0").strip() != "0"
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -135,8 +150,10 @@ class ServeHTTPServer(ThreadingHTTPServer):
             "timeouts": 0,
             "errors": 0,
             "chaos": 0,
+            "connections": 0,
         }
         self._thread: Optional[threading.Thread] = None
+        self._open: set = set()  # accepted sockets not yet shut down
         super().__init__((host, int(port)), ServeHandler)
 
     # -- convenience ---------------------------------------------------
@@ -156,8 +173,30 @@ class ServeHTTPServer(ThreadingHTTPServer):
         self._thread.start()
         return self
 
+    def process_request(self, request, client_address):
+        with self.lock:
+            self._open.add(request)
+            self.counters["connections"] += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self.lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
     def close(self) -> None:
+        """Stop accepting, end every open connection (a kept-alive
+        one would otherwise hold its handler thread for up to
+        ``request_timeout``), wait for the handler threads, and stop
+        the serving thread."""
         self.shutdown()
+        with self.lock:
+            open_now = list(self._open)
+        for sock in open_now:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10)
@@ -169,6 +208,11 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; with Nagle the body would
+    # wait for the client's delayed ACK on a kept-alive connection
+    disable_nagle_algorithm = True
+    #: the request carries a body that has not been read (see end_headers)
+    _body_unread = False
 
     def setup(self):
         # idle keep-alive connections time out instead of pinning a
@@ -180,6 +224,13 @@ class ServeHandler(BaseHTTPRequestHandler):
         pass  # request logging goes through repro.trace, not stderr
 
     # -- plumbing ------------------------------------------------------
+
+    def end_headers(self):
+        # an answer sent before the body was read ends the connection:
+        # the unread bytes would be parsed as the next request line
+        if self._body_unread:
+            self.send_header("Connection", "close")
+        super().end_headers()
 
     def _send_json(self, code: int, obj, headers: Optional[Dict] = None) -> None:
         body = json.dumps(obj, default=repr).encode("utf-8")
@@ -246,6 +297,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             chunks.append(chunk)
             got += len(chunk)
         self.connection.settimeout(self.server.request_timeout)
+        self._body_unread = False
         return b"".join(chunks)
 
     def _apply_chaos(self, path: str) -> bool:
@@ -291,6 +343,7 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         self.server.bump("requests")
+        self._body_unread = _carries_body(self.headers)
         route, arg = self._route(method)
         tr = get_tracer()
         status = [0]

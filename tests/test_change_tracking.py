@@ -69,6 +69,16 @@ class TestVersions:
         assert src.version != before
         assert system.version != system_before
 
+    def test_system_version_is_the_device_maximum(self):
+        system = _explore_system()
+        version = system.version
+        assert version == max(dev.version for dev in system.devices)
+        Diode("DX", "a", "0")  # a version drawn outside this system
+        assert system.version == version
+        dev = _device(system, "R2")
+        dev.set_param("resistance", 2.0 * dev.get_param("resistance"))
+        assert system.version == dev.version > version
+
     def test_copies_get_their_own_ids_and_versions(self):
         system = _explore_system()
         for other in (copy.deepcopy(system), pickle.loads(pickle.dumps(system))):

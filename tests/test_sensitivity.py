@@ -149,11 +149,11 @@ class TestDCSensitivity:
             dc_sensitivity(self._diode_divider(), ["R1.resistance"])
 
     def test_bad_spec_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no scalar parameter 'nope'"):
             dc_sensitivity(
                 self._diode_divider(), ["R1.nope"], objective="mid"
             )
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no device named 'RX'"):
             dc_sensitivity(
                 self._diode_divider(), ["RX.resistance"], objective="mid"
             )

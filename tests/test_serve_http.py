@@ -4,7 +4,9 @@ Exercises ``repro.serve.http`` / ``repro.serve.client`` end to end over
 real loopback sockets — submit→poll→result round trips, bearer auth,
 429 backpressure that sheds load without losing accepted jobs, verified
 byte-serving of results, HTTP chaos (dropped connections, torn
-responses, hangs, slow-loris bodies), and the GC endpoint — and locks
+responses, hangs, slow-loris bodies), kept-alive connections (one per
+client thread and process, idle close, early answers that close), and
+the GC endpoint — and locks
 down the acceptance scenario: N concurrent clients submitting an
 overlapping job set get every job solved exactly once, bit-identical
 to a serial run.
@@ -16,6 +18,7 @@ import json
 import os
 import pickle
 import socket
+import sys
 import threading
 import time
 
@@ -56,7 +59,8 @@ def server(tmp_path):
 
 @pytest.fixture
 def client(server):
-    return ServeClient(server.address, retries=4, backoff_base=0.01)
+    with ServeClient(server.address, retries=4, backoff_base=0.01) as c:
+        yield c
 
 
 # -- basic round trips --------------------------------------------------
@@ -405,6 +409,161 @@ class TestSlowLoris:
         try:
             c = ServeClient(srv.address, retries=0)
             assert c.submit(RC, "dc")["state"] == "queued"
+        finally:
+            srv.close()
+
+
+# -- connection model ---------------------------------------------------
+
+
+def _fork_healthz(client, out):
+    out.put(client.healthz()["pid"])
+
+
+class TestConnections:
+    """One kept-alive connection per client thread and process; the
+    server closes idle connections and early answers, and ``close()``
+    leaves no handler thread behind."""
+
+    def test_one_thread_makes_one_connection(self, server, client):
+        for _ in range(20):
+            client.healthz()
+        http = client.server_stats()["http"]
+        assert http["connections"] == 1
+        assert http["requests"] == 21
+
+    def test_idle_close_is_resent_without_a_retry(self, tmp_path):
+        srv = ServeHTTPServer(
+            tmp_path / "s", request_timeout=0.2
+        ).start_background()
+        try:
+            with ServeClient(srv.address, retries=0) as c:
+                assert c.healthz()["ok"]
+                time.sleep(1.0)  # the server closes the idle connection
+                assert c.healthz()["ok"]
+            assert c.stats["retries"] == 0
+            assert srv.counters["connections"] == 2
+        finally:
+            srv.close()
+
+    def test_threads_sharing_a_client_get_one_connection_each(
+        self, server, client
+    ):
+        n_threads, n_calls = 4, 10
+        barrier = threading.Barrier(n_threads)
+        errors = []
+
+        def calls():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(n_calls):
+                    client.healthz()
+                barrier.wait(timeout=30)  # all connections open at once
+                client.close()
+            except Exception as exc:  # noqa: BLE001 - collected below
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=calls) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert server.counters["connections"] == n_threads
+        assert server.counters["requests"] == n_threads * n_calls
+
+    def test_forked_child_opens_its_own_connection(self, server, client):
+        import multiprocessing as mp
+
+        assert client.healthz()["pid"] == os.getpid()
+        ctx = mp.get_context("fork")
+        out = ctx.Queue()
+        child = ctx.Process(target=_fork_healthz, args=(client, out))
+        child.start()
+        got = out.get(timeout=30)
+        child.join(timeout=30)
+        assert not child.is_alive() and child.exitcode == 0
+        assert got == os.getpid()  # answered by this process's server
+        assert server.counters["connections"] == 2
+        # the parent's connection was left alone and is still in use
+        assert client.healthz()["ok"]
+        assert server.counters["connections"] == 2
+
+    def test_close_leaves_no_handler_thread(self, tmp_path):
+        baseline = set(threading.enumerate())
+        srv = ServeHTTPServer(tmp_path / "s").start_background()
+        clients = [ServeClient(srv.address, retries=0) for _ in range(3)]
+        for c in clients:
+            c.healthz()  # three kept-alive connections, one handler each
+        # the serving thread plus one handler per connection
+        assert len(set(threading.enumerate()) - baseline) == 4
+        t0 = time.monotonic()
+        srv.close()
+        for c in clients:
+            c.close()
+        assert time.monotonic() - t0 < srv.request_timeout / 2
+        deadline = time.monotonic() + 1.0
+        while set(threading.enumerate()) - baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not set(threading.enumerate()) - baseline
+
+    def test_client_close_and_context_manager(self, server):
+        with ServeClient(server.address, retries=0) as c:
+            c.healthz()
+            c.close()
+            c.healthz()
+        assert server.counters["connections"] == 2
+
+    @pytest.mark.parametrize(
+        "token, path, headers, body, status",
+        [
+            # auth answers before the body is read (and never reads it)
+            ("hunter2", "/jobs", {"Content-Type": "application/json"},
+             json.dumps({"netlist": RC, "analysis": "dc"}).encode(), 401),
+            # route miss: what curl -X POST -d '{}' .../healthz sends
+            (None, "/healthz",
+             {"Content-Type": "application/x-www-form-urlencoded"},
+             b"{}", 405),
+            # no Content-Length: the chunked body stays on the wire (sent
+            # pre-encoded in one write, so it is all out before the 400)
+            (None, "/jobs", {"Transfer-Encoding": "chunked"},
+             b'11\r\n{"netlist": "x", \r\n11\r\n"analysis": "dc"}\r\n0\r\n\r\n',
+             400),
+        ],
+        ids=["401", "405", "400-chunked"],
+    )
+    def test_early_answer_closes_the_connection(
+        self, tmp_path, monkeypatch, token, path, headers, body, status
+    ):
+        """An answer sent before the request body was read closes the
+        connection; otherwise the next request on it would be parsed
+        out of the unread body bytes."""
+        import http.client
+
+        monkeypatch.delenv("REPRO_SERVE_TOKEN", raising=False)
+        srv = ServeHTTPServer(tmp_path / "s", token=token).start_background()
+        try:
+            host, port = srv.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                conn.request("POST", path, body=body, headers=headers)
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == status
+                assert resp.getheader("Connection") == "close"
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert json.loads(resp.read())["ok"]
+                assert resp.status == 200
+            finally:
+                conn.close()
+            assert srv.counters["connections"] == 2
         finally:
             srv.close()
 
