@@ -87,8 +87,8 @@ def test_ablate_preconditioner_matters(benchmark):
     prob = _MPDEProblem(sys, grid, None, MO())
     x = np.tile(dc_analysis(sys).x, grid.total)
     B = grid.excitation(sys)
-    r = prob.residual(x, B)
-    G_big, C_big, g_vals, c_vals = prob.batch_matrices(x)
+    r, vals = prob.residual(x, B)
+    G_big, C_big, g_vals, c_vals = prob.batch_matrices(x, vals)
     mv = prob.matvec(G_big, C_big)
     pc = prob.averaged_preconditioner(g_vals, c_vals)
 

@@ -11,18 +11,36 @@ a stale factor stalls a step or the linear solve.
 The second half exercises :func:`repro.hb.hb_sweep`: a multi-point
 harmonic sweep run through the deterministic sweep executor must give
 the same answers at ``workers=1`` and ``workers=4``.
+
+The record also carries the Figure 1 modulator's HB solve on the GMRES
+path (``modulator``): per-solve wall time over repeated steady-state
+solves (median and IQR), the grid-sized device passes and residual
+evaluations of one solve (one pass per residual: the Newton step reuses
+the accepted residual's Jacobian values), the matvecs and iterations of
+each GMRES call (iterations + 1: the zero start costs no matvec, the
+final true-residual check one) and the minor page faults per solve.
 """
 
+import gc
 import os
+import resource
 import time
+from unittest import mock
 
 import numpy as np
 
+import repro.robust.krylov as krylov
 from repro.hb import harmonic_balance, hb_sweep
 from repro.mpde import MPDEOptions
+from repro.mpde.mpde_core import _MPDEProblem
 from repro.netlist import Circuit, Sine
+from repro.netlist.mna import MNASystem
+from repro.rf import ModulatorSpec, quadrature_modulator
 
 from conftest import backend_sweep_timings, report, write_bench_json
+
+#: steady-state modulator solves timed for the record
+MODULATOR_REPEATS = 12
 
 
 def diode_chain(stages=25, freq=50e6):
@@ -35,6 +53,77 @@ def diode_chain(stages=25, freq=50e6):
         ckt.resistor(f"Rb{k}", "vb", f"n{k+1}", 5e3)
         ckt.capacitor(f"C{k}", f"n{k+1}", "0", 3e-12)
     return ckt.compile()
+
+
+def modulator_record(repeats=MODULATOR_REPEATS):
+    """Counts of one Figure 1 modulator solve, then ``repeats`` timed
+    steady-state solves (``gc.collect()`` before each, as perfbench
+    does)."""
+    spec = ModulatorSpec()
+    system = quadrature_modulator(spec)
+
+    def solve():
+        return harmonic_balance(
+            system, freqs=[spec.f_bb, spec.f_ref], harmonics=[3, 10]
+        )
+
+    hb = solve()  # warm-up: imports, compiled patterns, heap
+    m = hb.solution.grid.total
+    counts = {"passes": 0, "residuals": 0}
+    gmres_calls = []
+    device_pass, residual, gmres = (
+        MNASystem._device_pass, _MPDEProblem.residual, krylov.gmres
+    )
+
+    def counted_pass(self, x2d, *args, **kwargs):
+        counts["passes"] += x2d.shape[1] == m
+        return device_pass(self, x2d, *args, **kwargs)
+
+    def counted_residual(self, *args, **kwargs):
+        counts["residuals"] += 1
+        return residual(self, *args, **kwargs)
+
+    def counted_gmres(matvec, *args, **kwargs):
+        applied = [0]
+
+        def counted_matvec(v):
+            applied[0] += 1
+            return matvec(v)
+
+        res = gmres(counted_matvec, *args, **kwargs)
+        gmres_calls.append({"matvecs": applied[0], "iterations": res.iterations})
+        return res
+
+    with mock.patch.object(MNASystem, "_device_pass", counted_pass), \
+            mock.patch.object(_MPDEProblem, "residual", counted_residual), \
+            mock.patch.object(krylov, "gmres", counted_gmres):
+        hb = solve()
+    assert hb.converged and hb.solution.solver == "gmres"
+
+    walls, faults = [], []
+    for _ in range(repeats):
+        gc.collect()
+        flt0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        solve()
+        walls.append(time.perf_counter() - t0)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0)
+    q1, median, q3 = np.percentile(walls, [25, 50, 75])
+    return {
+        "grid_samples": m,
+        "newton_iterations": hb.newton_iterations,
+        "gmres_iterations": hb.gmres_iterations,
+        "device_passes_per_solve": counts["passes"],
+        "residuals_per_solve": counts["residuals"],
+        "gmres_calls": gmres_calls,
+        "matvecs_per_solve": sum(c["matvecs"] for c in gmres_calls),
+        "repeats": repeats,
+        "wall_median": float(median),
+        "wall_iqr": float(q3 - q1),
+        "wall_min": float(min(walls)),
+        "minflt_median": float(np.median(faults)),
+        "minflt_max": int(max(faults)),
+    }
 
 
 def test_hb_factor_reuse(benchmark):
@@ -134,6 +223,27 @@ def test_hb_factor_reuse(benchmark):
         notes=("speedup asserts gated on cpu_count; see BENCH_perf_hb.json",),
     )
 
+    modulator = modulator_record()
+    report(
+        "Figure 1 modulator HB solve (GMRES path)",
+        [
+            (
+                modulator["wall_median"] * 1e3,
+                modulator["wall_iqr"] * 1e3,
+                modulator["device_passes_per_solve"],
+                modulator["residuals_per_solve"],
+                modulator["matvecs_per_solve"],
+                modulator["minflt_max"],
+            )
+        ],
+        header=("median [ms]", "IQR [ms]", "passes", "residuals", "matvecs", "minflt"),
+        notes=(
+            f"{modulator['repeats']} steady-state solves; counts from one solve "
+            f"({modulator['newton_iterations']} Newton, "
+            f"{modulator['gmres_iterations']} GMRES iterations)",
+        ),
+    )
+
     write_bench_json(
         "perf_hb",
         results=results,
@@ -145,5 +255,6 @@ def test_hb_factor_reuse(benchmark):
                 "backends": backends,
                 "identical": True,
             },
+            "modulator": modulator,
         },
     )

@@ -70,7 +70,8 @@ def gmres(
     b:
         Right-hand side vector.
     x0:
-        Initial guess (defaults to zero).
+        Initial guess.  ``None`` starts from zero, whose residual is
+        ``b`` itself, so that start costs no matvec.
     tol:
         Relative residual tolerance ``||b - A x|| <= tol * ||b||``.
     restart:
@@ -115,7 +116,9 @@ def _gmres_impl(tr, matvec, b, x0, tol, restart, maxiter, precond):
 
     while total_iters < maxiter:
         cycle += 1
-        r = b - matvec(x)
+        # no copy of b for the zero start: r is only read, and a fresh
+        # array per call costs page faults on the HB grids
+        r = b if cycle == 1 and x0 is None else b - matvec(x)
         beta = np.linalg.norm(r)
         if beta / bnorm <= tol:
             residuals.append(beta / bnorm)

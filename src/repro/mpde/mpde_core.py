@@ -260,6 +260,26 @@ class _BlockDiagPattern:
         return out.reshape(self.n, self.n)
 
 
+def _block_pattern(system, m: int) -> _BlockDiagPattern:
+    """The system's block pattern over ``m`` samples, compiled once per
+    (Jacobian pattern, ``m``).
+
+    The system hands out one pattern tuple until a restamp moves stamp
+    coordinates (:meth:`~repro.netlist.mna.MNASystem.jacobian_pattern`),
+    so the cache is keyed on that tuple's identity.  It is replaced as
+    one tuple, so concurrent solves on one system (thread-backend
+    ``hb_sweep``) never see it half built; the compiled pattern itself
+    is read-only.
+    """
+    pattern = system.jacobian_pattern()
+    cached = getattr(system, "_mpde_blocks", None)
+    if cached is not None and cached[0] is pattern and cached[1] == m:
+        return cached[2]
+    blocks = _BlockDiagPattern(pattern, system.n, m)
+    system._mpde_blocks = (pattern, m, blocks)
+    return blocks
+
+
 #: Largest probe reading ``max_k ||A_k y_k - z_k|| / ||z_k||`` at which
 #: the pencil form of the averaged-circuit preconditioner is used; above
 #: it the build falls back to the stacked inverse.  The reading is a
@@ -374,7 +394,7 @@ class _MPDEProblem:
         self.n = system.n
         self.m = grid.total
         self.pattern = system.jacobian_pattern()
-        self.blocks = _BlockDiagPattern(self.pattern, self.n, self.m)
+        self.blocks = _block_pattern(system, self.m)
         self.fd_blocks = list(fd_blocks or [])
         if self.fd_blocks and any(ax.kind != "fourier" for ax in grid.axes):
             raise ValueError(
@@ -412,21 +432,28 @@ class _MPDEProblem:
         return res.reshape(-1)
 
     # -- residual -----------------------------------------------------------
-    def residual(self, x_flat: np.ndarray, B: np.ndarray) -> np.ndarray:
+    def residual(self, x_flat: np.ndarray, B: np.ndarray):
+        """``(r, vals)``: the flat residual at ``x_flat`` and the batch
+        Jacobian values ``(g_vals, c_vals)`` from the same device pass,
+        for :meth:`batch_matrices` at this iterate."""
         cols = self.grid.columns(x_flat, self.n)
-        f, q = self.system.batch_fq(cols)
+        f, q, g_vals, c_vals = self.system.batch_fq(cols, jacobians=True)
         Q = q.T.reshape(self.grid.shape + (self.n,))
         dq = self.grid.apply_derivative(Q).reshape(self.m, self.n)
         r = dq + f.T - B
         r_flat = r.reshape(-1)
         if self.fd_blocks:
             r_flat = r_flat + self.fd_contribution(x_flat)
-        return r_flat
+        return r_flat, (g_vals, c_vals)
 
     # -- jacobians ------------------------------------------------------------
-    def batch_matrices(self, x_flat: np.ndarray):
-        cols = self.grid.columns(x_flat, self.n)
-        g_vals, c_vals = self.system.batch_jacobians(cols)
+    def batch_matrices(self, x_flat: np.ndarray, vals=None):
+        """``(G_big, C_big, g_vals, c_vals)`` at ``x_flat``; ``vals`` are
+        the values :meth:`residual` returned there (evaluated afresh
+        when omitted)."""
+        if vals is None:
+            vals = self.system.batch_jacobians(self.grid.columns(x_flat, self.n))
+        g_vals, c_vals = vals
         return self.blocks.matrix(g_vals), self.blocks.matrix(c_vals), g_vals, c_vals
 
     def direct_jacobian(self, G_big, C_big) -> sp.csc_matrix:
@@ -622,7 +649,10 @@ def solve_mpde(
 
     def solve_at(B, x_start, abstol):
         x_it = x_start.copy()
-        r = prob.residual(x_it, B)
+        # each residual pass also returns the iterate's batch Jacobian
+        # values; the accepted iterate's are carried into the next
+        # iteration's matrices, so a Newton step costs one device pass
+        r, vals = prob.residual(x_it, B)
         rnorm = np.linalg.norm(r)
         r0 = max(rnorm, 1e-30)
         best_x, best_norm = x_it.copy(), (rnorm if np.isfinite(rnorm) else np.inf)
@@ -647,7 +677,7 @@ def solve_mpde(
                         perf.factor_hits += 1
                         perf.jacobian_evals_saved += 1
                     else:
-                        G_big, C_big, g_vals, c_vals = prob.batch_matrices(x_it)
+                        G_big, C_big, g_vals, c_vals = prob.batch_matrices(x_it, vals)
                         perf.jacobian_evals += 1
                         J = prob.direct_jacobian(G_big, C_big)
                         if reuse_on:
@@ -659,10 +689,11 @@ def solve_mpde(
                             dx = spla.spsolve(J, r)
                 else:
                     # matrix-free GMRES: the operator must be exact at
-                    # the current iterate, so the batch Jacobians are
-                    # always rebuilt — the reusable part is the
-                    # averaged-circuit preconditioner
-                    G_big, C_big, g_vals, c_vals = prob.batch_matrices(x_it)
+                    # the current iterate, so the batch matrices are
+                    # always rebuilt from its carried values — the
+                    # reusable part is the averaged-circuit
+                    # preconditioner
+                    G_big, C_big, g_vals, c_vals = prob.batch_matrices(x_it, vals)
                     perf.jacobian_evals += 1
                     mv = prob.matvec(G_big, C_big)
                     if (
@@ -733,7 +764,7 @@ def solve_mpde(
                 counters["newton"] += 1
                 step = 1.0
                 x_try = x_it - dx
-                r_try = prob.residual(x_try, B)
+                r_try, vals_try = prob.residual(x_try, B)
                 rnorm_try = np.linalg.norm(r_try)
                 descent = False
                 for _ in range(12):
@@ -742,7 +773,7 @@ def solve_mpde(
                         break
                     step *= 0.5
                     x_try = x_it - step * dx
-                    r_try = prob.residual(x_try, B)
+                    r_try, vals_try = prob.residual(x_try, B)
                     rnorm_try = np.linalg.norm(r_try)
                 if not descent and used_stale_lu:
                     # fail closed: the stale LU produced a residual-
@@ -789,7 +820,7 @@ def solve_mpde(
                     stale_lu=used_stale_lu,
                     stale_pc=used_stale_pc,
                 )
-            x_it, r, rnorm = x_try, r_try, rnorm_try
+            x_it, r, rnorm, vals = x_try, r_try, rnorm_try, vals_try
             if rnorm < best_norm:
                 best_x, best_norm = x_it.copy(), rnorm
             if opts.verbose:

@@ -19,7 +19,8 @@ model; ``Device.nl_eval`` runs it on a group of one), with parameter
 columns it gathers again only after one of its own devices moved its
 version (``Device.set_param``).
 One pass over the groups serves ``f``, ``q``, ``G``, ``C``,
-``batch_fq`` (both terms: use it when both are needed) and
+``batch_fq`` (both terms: use it when both are needed; with
+``jacobians=True`` the batch Jacobian values too) and
 ``batch_jacobians`` alike, scattering through index arrays built at
 compile time.  Groups follow one canonical device order, so every
 output is bit-identical to a per-device loop over that order.  The
@@ -56,6 +57,13 @@ __all__ = ["MNASystem"]
 # compile-time system ids: never reused, unlike id()
 _system_ids = itertools.count(1)
 
+#: A group with several ranks scatters rank by rank once its entries
+#: times the sample count reach this many per rank; below that
+#: ``np.add.at``'s per-element cost is less than a rank's fixed cost
+#: (~2.5 µs).  Measured crossover: 200-300 on the modulator's and the
+#: mixer's switch groups.
+_RANK_MIN_WORK = 256
+
 
 class _NLGroup:
     """Precomputed scatter indices for one batch of nonlinear devices.
@@ -66,8 +74,12 @@ class _NLGroup:
 
     * ``var_safe``/``var_mask`` — gather ``(d, k_in, m)`` local voltages
       from a state block, grounds reading as 0;
-    * ``eq_rows``/``eq_valid`` — scatter ``(d, k_eq, m)`` f/q
-      contributions onto global KCL rows, grounds dropped;
+    * ``eq_rows``/``eq_src`` — the global KCL rows of the group's
+      ``(d, k_eq)`` f/q entries and their flat positions, grounds
+      dropped, in canonical order;
+    * ``ranks`` — ``eq_rows``/``eq_src`` split so that no row repeats
+      within a rank: rank ``r`` holds each row's ``r``-th entry (see
+      :meth:`scatter`);
     * ``jac_rows``/``jac_cols``/``jac_valid`` — the COO coordinates of
       the group's Jacobian block in canonical (device, eq, var) order,
       matching :meth:`MNASystem.jacobian_pattern`.
@@ -80,7 +92,8 @@ class _NLGroup:
         "var_safe",
         "var_mask",
         "eq_rows",
-        "eq_valid",
+        "eq_src",
+        "ranks",
         "jac_rows",
         "jac_cols",
         "jac_valid",
@@ -97,8 +110,20 @@ class _NLGroup:
         self.var_safe = np.where(var_idx >= 0, var_idx, 0)
         self.var_mask = (var_idx >= 0)[..., None]
         eq_flat = eq_idx.reshape(-1)
-        self.eq_valid = eq_flat >= 0
-        self.eq_rows = eq_flat[self.eq_valid]
+        self.eq_src = np.flatnonzero(eq_flat >= 0)
+        self.eq_rows = eq_flat[self.eq_src]
+        # rank of an entry = how many earlier entries share its row (a
+        # loop: compile time matters to the service, which compiles
+        # every job's netlist, and groups are small)
+        rank, seen = [], {}
+        for row in self.eq_rows.tolist():
+            rank.append(seen.get(row, 0))
+            seen[row] = rank[-1] + 1
+        rank = np.array(rank, dtype=int)
+        self.ranks = tuple(
+            (self.eq_rows[rank == r], self.eq_src[rank == r])
+            for r in range(max(seen.values(), default=0))
+        )
         valid = (eq_idx[:, :, None] >= 0) & (var_idx[:, None, :] >= 0)
         rows = np.broadcast_to(eq_idx[:, :, None], valid.shape)
         cols = np.broadcast_to(var_idx[:, None, :], valid.shape)
@@ -140,6 +165,28 @@ class _NLGroup:
             return self.cls.nl_eval_group(self.params(), V)
         f, q, df, dq = self.devices[0].nl_eval(V[0])
         return f[None], q[None], df[None], dq[None]
+
+    def scatter(self, out: np.ndarray, vals: np.ndarray) -> None:
+        """``out[row] += v`` for each valid entry of ``vals`` (d, k_eq, m)
+        onto ``out`` (n, m), in canonical (device, port) order.
+
+        No row repeats within a rank, so a buffered fancy-index add is
+        exact there, and the ranks run in order, so every row sums its
+        entries in the order a per-device loop (or the unbuffered
+        ``np.add.at``) does: the same bits either way.
+        """
+        m = out.shape[1]
+        if m == 1:
+            # 1-D fancy indexing costs about half as much as (k, 1) rows
+            out, vals = out[:, 0], vals.reshape(-1)
+        else:
+            vals = vals.reshape(-1, m)
+        ranks = self.ranks
+        if len(ranks) > 1 and self.eq_rows.size * m < _RANK_MIN_WORK * len(ranks):
+            np.add.at(out, self.eq_rows, vals[self.eq_src])
+            return
+        for rows, src in ranks:
+            out[rows] += vals[src]
 
 
 class MNASystem:
@@ -310,6 +357,7 @@ class MNASystem:
         )
         self.G_lin, self._g_lin_coo = self._assemble(self._g_entries)
         self.C_lin, self._c_lin_coo = self._assemble(self._c_entries)
+        self._pattern = None  # new coordinates: jacobian_pattern() again
 
     def _assemble(self, entries, coo=None):
         """CSR matrix of flat COO entries, plus the COO copy kept for
@@ -442,13 +490,13 @@ class MNASystem:
         pos = 0
         for grp in self._nl_groups:
             fv, qv, dfv, dqv = grp.eval(x2d)
-            # np.add.at is unbuffered and applies additions in index
-            # order — the canonical (device, port) sequence, so duplicate
-            # rows sum exactly as a per-device loop would
+            # the group's compiled scatter adds rank by rank, so rows
+            # shared between devices sum in the canonical (device, port)
+            # order, exactly as a per-device loop would
             if f is not None:
-                np.add.at(f, grp.eq_rows, fv.reshape(-1, m)[grp.eq_valid])
+                grp.scatter(f, fv)
             if q is not None:
-                np.add.at(q, grp.eq_rows, qv.reshape(-1, m)[grp.eq_valid])
+                grp.scatter(q, qv)
             # C-order flatten of (d, k_eq, k_in) is the (device, eq, var)
             # loop nest of the pattern, entry for entry
             end = pos + grp.jac_nnz
@@ -473,15 +521,23 @@ class MNASystem:
         self._device_pass(x2d, q=out)
         return out[:, 0] if squeeze else out
 
-    def batch_fq(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(f(X), q(X)) from one device pass; accepts (n,) or (n, m)."""
+    def batch_fq(self, X: np.ndarray, jacobians: bool = False) -> tuple:
+        """(f(X), q(X)) from one device pass; accepts (n,) or (n, m).
+
+        With ``jacobians=True`` the same pass also fills the batch
+        Jacobian values and returns ``(f, q, g_vals, c_vals)``, the last
+        two bit for bit what :meth:`batch_jacobians` returns at ``X``.
+        """
         x2d, squeeze = self._as2d(X)
         f = self.G_lin @ x2d
         q = self.C_lin @ x2d
-        self._device_pass(x2d, f=f, q=q)
-        if squeeze:
-            return f[:, 0], q[:, 0]
-        return f, q
+        if not jacobians:
+            self._device_pass(x2d, f=f, q=q)
+            return (f[:, 0], q[:, 0]) if squeeze else (f, q)
+        g_vals, c_vals, nl = self._jacobian_arrays(x2d.shape[1])
+        self._device_pass(x2d, f=f, q=q, g_vals=g_vals[nl:], c_vals=c_vals[nl:])
+        out = (f, q, g_vals, c_vals)
+        return tuple(a[:, 0] for a in out) if squeeze else out
 
     def b(self, t) -> np.ndarray:
         """Excitation vector; scalar t -> (n,), array t (m,) -> (n, m)."""
@@ -541,18 +597,24 @@ class MNASystem:
         nonlinear device blocks.  :meth:`batch_jacobians` returns values
         aligned with this fixed pattern, so HB/MPDE can pre-build one
         sparsity structure and refill data on every Newton iteration.
+        The arrays are read-only, and the same tuple is returned until a
+        restamp moves stamp coordinates: what a consumer compiles from
+        it may be cached on the tuple's identity.
         """
-        rows = np.concatenate([self._g_lin_coo[0], self._c_lin_coo[0], self._nl_rows])
-        cols = np.concatenate([self._g_lin_coo[1], self._c_lin_coo[1], self._nl_cols])
-        return rows.astype(int), cols.astype(int)
+        pattern = self._pattern
+        if pattern is None:
+            rows = np.concatenate([self._g_lin_coo[0], self._c_lin_coo[0], self._nl_rows])
+            cols = np.concatenate([self._g_lin_coo[1], self._c_lin_coo[1], self._nl_cols])
+            pattern = (rows.astype(int), cols.astype(int))
+            for a in pattern:
+                a.flags.writeable = False
+            self._pattern = pattern
+        return pattern
 
-    def batch_jacobians(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-sample G and C entry values aligned with jacobian_pattern().
-
-        ``X`` has shape ``(n, m)``; returns ``(g_vals, c_vals)`` each of
-        shape ``(nnz, m)``.
-        """
-        m = X.shape[1]
+    def _jacobian_arrays(self, m: int):
+        """``(g_vals, c_vals, nl)``: ``(nnz, m)`` batch Jacobian values
+        holding the linear entries, with the nonlinear rows from ``nl``
+        on zero, for a device pass to fill."""
         nnz_gl = len(self._g_lin_coo[0])
         nnz_lin = nnz_gl + len(self._c_lin_coo[0])
         nnz = nnz_lin + self._nl_rows.size
@@ -560,7 +622,17 @@ class MNASystem:
         c_vals = np.zeros((nnz, m))
         g_vals[:nnz_gl] = self._g_lin_coo[2][:, None]
         c_vals[nnz_gl:nnz_lin] = self._c_lin_coo[2][:, None]
-        self._device_pass(X, g_vals=g_vals[nnz_lin:], c_vals=c_vals[nnz_lin:])
+        return g_vals, c_vals, nnz_lin
+
+    def batch_jacobians(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-sample G and C entry values aligned with jacobian_pattern().
+
+        ``X`` has shape ``(n, m)``; returns ``(g_vals, c_vals)`` each of
+        shape ``(nnz, m)``.  ``batch_fq(X, jacobians=True)`` returns the
+        same values from the pass that evaluates ``f`` and ``q``.
+        """
+        g_vals, c_vals, nl = self._jacobian_arrays(X.shape[1])
+        self._device_pass(X, g_vals=g_vals[nl:], c_vals=c_vals[nl:])
         return g_vals, c_vals
 
     # --- noise ---------------------------------------------------------------

@@ -437,10 +437,13 @@ class FaultyMNASystem:
 
     Overridable names are the evaluator methods analyses call:
     ``f``, ``G``, ``q``, ``C``, ``b``, ``b_dc``, ``batch_fq``,
-    ``batch_jacobians``.  When ``f`` or ``q`` is overridden and
-    ``batch_fq`` is not, ``batch_fq`` goes through the overrides
-    (``(self.f(X), self.q(X))``), so a fault scheduled on ``f`` or ``q``
-    also reaches callers of the fused evaluator.
+    ``batch_jacobians``.  The fused evaluator ``batch_fq`` always goes
+    through the overrides, so a fault scheduled on any of them reaches
+    its callers: ``(f, q)`` come from a ``batch_fq`` override (called
+    with ``X`` alone), else from ``f``/``q`` when either is overridden;
+    with ``jacobians=True`` the batch Jacobian values come from
+    ``batch_jacobians``.  Only when none of these four is overridden is
+    it the wrapped system's single fused pass.
     """
 
     _OVERRIDABLE = ("f", "G", "q", "C", "b", "b_dc", "batch_fq", "batch_jacobians")
@@ -458,9 +461,16 @@ class FaultyMNASystem:
         overrides = object.__getattribute__(self, "_overrides")
         if name in overrides:
             return overrides[name]
-        if name == "batch_fq" and ("f" in overrides or "q" in overrides):
-            return self._split_batch_fq
         return getattr(object.__getattribute__(self, "_system"), name)
 
-    def _split_batch_fq(self, X):
-        return self.f(X), self.q(X)
+    def batch_fq(self, X, jacobians=False):
+        overrides = self._overrides
+        if "batch_fq" in overrides:
+            fq = tuple(overrides["batch_fq"](X))
+        elif "f" in overrides or "q" in overrides:
+            fq = (self.f(X), self.q(X))
+        elif jacobians and "batch_jacobians" not in overrides:
+            return self._system.batch_fq(X, jacobians=True)
+        else:
+            fq = self._system.batch_fq(X)
+        return fq + tuple(self.batch_jacobians(X)) if jacobians else fq

@@ -83,6 +83,10 @@ HIGH_WATER_ENV = "REPRO_SERVE_HIGH_WATER"
 #: big is not a netlist.
 _MAX_BODY_DEFAULT = 8 * 1024 * 1024
 
+#: How often the background serving loop checks for ``shutdown()``:
+#: ``close()`` waits up to this long (socketserver's default is 0.5 s).
+_POLL_INTERVAL_S = 0.05
+
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
@@ -169,7 +173,9 @@ class ServeHTTPServer(ThreadingHTTPServer):
 
     def start_background(self) -> "ServeHTTPServer":
         """Serve from a daemon thread; returns self for chaining."""
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
+        )
         self._thread.start()
         return self
 

@@ -259,8 +259,9 @@ class ReferenceMNASystem(MNASystem):
     def q(self, x):
         return self._term(self.C_lin, x, "q")
 
-    def batch_fq(self, X):
-        return self.f(X), self.q(X)
+    def batch_fq(self, X, jacobians=False):
+        fq = (self.f(X), self.q(X))
+        return fq + self.batch_jacobians(X) if jacobians else fq
 
     def _point_jacobian(self, x, which):
         x2d, _ = self._as2d(x)

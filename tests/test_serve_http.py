@@ -58,6 +58,21 @@ def server(tmp_path):
 
 
 @pytest.fixture
+def connect():
+    """``ServeClient`` factory: every client it builds is closed at
+    teardown (on the test's thread, the only one that used it)."""
+    made = []
+
+    def make(address, **kwargs):
+        made.append(ServeClient(address, **kwargs))
+        return made[-1]
+
+    yield make
+    for c in made:
+        c.close()
+
+
+@pytest.fixture
 def client(server):
     with ServeClient(server.address, retries=4, backoff_base=0.01) as c:
         yield c
@@ -150,10 +165,10 @@ class TestEndpoints:
                 p.terminate()
                 p.join(timeout=10)
 
-    def test_oversized_body_413(self, tmp_path):
+    def test_oversized_body_413(self, tmp_path, connect):
         srv = ServeHTTPServer(tmp_path / "s", max_body=1024).start_background()
         try:
-            c = ServeClient(srv.address, retries=0)
+            c = connect(srv.address, retries=0)
             status, doc = c._json(
                 "POST", "/jobs",
                 {"netlist": "x" * 4096, "analysis": "dc"},
@@ -167,11 +182,11 @@ class TestEndpoints:
 
 
 class TestAuth:
-    def test_token_required_when_configured(self, tmp_path, monkeypatch):
+    def test_token_required_when_configured(self, tmp_path, monkeypatch, connect):
         monkeypatch.delenv("REPRO_SERVE_TOKEN", raising=False)
         srv = ServeHTTPServer(tmp_path / "s", token="hunter2").start_background()
         try:
-            anon = ServeClient(srv.address, token=None, retries=0)
+            anon = connect(srv.address, token=None, retries=0)
             # healthz stays open for load balancers
             assert anon.healthz()["ok"]
             with pytest.raises(ServeClientError) as err:
@@ -182,21 +197,21 @@ class TestAuth:
             assert err.value.status == 401
             assert srv.counters["unauthorized"] >= 2
 
-            wrong = ServeClient(srv.address, token="guess", retries=0)
+            wrong = connect(srv.address, token="guess", retries=0)
             with pytest.raises(ServeClientError):
                 wrong.submit(RC, "dc")
 
-            good = ServeClient(srv.address, token="hunter2", retries=0)
+            good = connect(srv.address, token="hunter2", retries=0)
             assert good.submit(RC, "dc")["state"] == "queued"
         finally:
             srv.close()
 
-    def test_token_from_environment(self, tmp_path, monkeypatch):
+    def test_token_from_environment(self, tmp_path, monkeypatch, connect):
         monkeypatch.setenv("REPRO_SERVE_TOKEN", "envsecret")
         srv = ServeHTTPServer(tmp_path / "s").start_background()
         try:
             assert srv.token == "envsecret"
-            c = ServeClient(srv.address, retries=0)  # picks up the env too
+            c = connect(srv.address, retries=0)  # picks up the env too
             assert c.submit(RC, "dc")["state"] == "queued"
         finally:
             srv.close()
@@ -206,10 +221,10 @@ class TestAuth:
 
 
 class TestBackpressure:
-    def test_429_past_high_water_then_recovers(self, tmp_path):
+    def test_429_past_high_water_then_recovers(self, tmp_path, connect):
         srv = ServeHTTPServer(tmp_path / "s", high_water=2).start_background()
         try:
-            c = ServeClient(srv.address, retries=0, backoff_base=0.01)
+            c = connect(srv.address, retries=0, backoff_base=0.01)
             accepted = [c.submit(rc_variant(i), "dc") for i in range(2)]
             assert all(v["state"] == "queued" for v in accepted)
             # backlog is at the mark: the next submission is shed
@@ -226,12 +241,12 @@ class TestBackpressure:
         finally:
             srv.close()
 
-    def test_retry_after_header_present(self, tmp_path):
+    def test_retry_after_header_present(self, tmp_path, connect):
         srv = ServeHTTPServer(
             tmp_path / "s", high_water=1, retry_after=3.5
         ).start_background()
         try:
-            c = ServeClient(srv.address, retries=0)
+            c = connect(srv.address, retries=0)
             c.submit(rc_variant(0), "dc")
             import urllib.error
             import urllib.request
@@ -246,12 +261,13 @@ class TestBackpressure:
             )
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(req, timeout=10)
+            err.value.close()  # the error holds the response's socket
             assert err.value.code == 429
             assert float(err.value.headers["Retry-After"]) == 3.5
         finally:
             srv.close()
 
-    def test_client_waits_out_backpressure(self, tmp_path):
+    def test_client_waits_out_backpressure(self, tmp_path, connect):
         """With retries in hand, the client sleeps the Retry-After hint
         and lands the job once workers free the backlog."""
         srv = ServeHTTPServer(
@@ -259,7 +275,7 @@ class TestBackpressure:
         ).start_background()
         procs = []
         try:
-            c = ServeClient(srv.address, retries=8, backoff_base=0.02)
+            c = connect(srv.address, retries=8, backoff_base=0.02)
             first = c.submit(rc_variant(0), "dc")
             procs = srv.service.spawn_workers(1, until_drained=False,
                                               max_seconds=60)
@@ -290,12 +306,12 @@ class TestResultTransport:
         payload = pickle.loads(blob)
         assert "x" in payload
 
-    def test_mac_headers_when_keyed(self, tmp_path, monkeypatch):
+    def test_mac_headers_when_keyed(self, tmp_path, monkeypatch, connect):
         monkeypatch.delenv("REPRO_SWEEP_CHECKPOINT_KEY", raising=False)
         monkeypatch.setenv("REPRO_SERVE_RESULT_KEY", "s3cret")
         srv = ServeHTTPServer(tmp_path / "s").start_background()
         try:
-            c = ServeClient(srv.address, retries=0)
+            c = connect(srv.address, retries=0)
             v = c.submit(RC, "dc")
             srv.service.drain()
             key = c.wait(v["job_id"], timeout=30)["key"]
@@ -309,12 +325,12 @@ class TestResultTransport:
 
 
 class TestHTTPChaos:
-    def test_dropped_connection_is_retried(self, tmp_path, server):
+    def test_dropped_connection_is_retried(self, tmp_path, server, connect):
         chaos = Chaos(
             tmp_path / "chaos",
             http={"/jobs": ChaosSpec(kind="drop", times=2)},
         )
-        c = ServeClient(server.address, retries=4, backoff_base=0.01)
+        c = connect(server.address, retries=4, backoff_base=0.01)
         with chaos_scope(chaos):
             v = c.submit(RC, "dc")
         assert v["state"] == "queued"
@@ -323,16 +339,16 @@ class TestHTTPChaos:
         assert server.counters["chaos"] >= 2
 
     def test_torn_response_fails_verification_then_recovers(
-        self, tmp_path, server
+        self, tmp_path, server, connect
     ):
-        v = ServeClient(server.address, retries=0).submit(RC, "dc")
+        v = connect(server.address, retries=0).submit(RC, "dc")
         server.service.drain()
         key = server.service.status(v["job_id"])["key"]
         chaos = Chaos(
             tmp_path / "chaos",
             http={"/results/": ChaosSpec(kind="torn", times=1)},
         )
-        c = ServeClient(server.address, retries=4, backoff_base=0.01)
+        c = connect(server.address, retries=4, backoff_base=0.01)
         with chaos_scope(chaos):
             blob, _ = c.result_blob(key)
         assert pickle.loads(blob)["x"] is not None
@@ -340,12 +356,12 @@ class TestHTTPChaos:
         # checksum — both count as one consumed retry
         assert c.stats["requests"] >= 2
 
-    def test_injected_500_is_surfaced(self, tmp_path, server):
+    def test_injected_500_is_surfaced(self, tmp_path, server, connect):
         chaos = Chaos(
             tmp_path / "chaos",
             http={"/stats": ChaosSpec(kind="error", times=1)},
         )
-        c = ServeClient(server.address, retries=0)
+        c = connect(server.address, retries=0)
         with chaos_scope(chaos):
             with pytest.raises(ServeClientError) as err:
                 c.server_stats()
@@ -353,16 +369,16 @@ class TestHTTPChaos:
             assert c.server_stats()["http"]["chaos"] == 1  # schedule spent
 
     def test_torn_result_exhausting_retries_raises_verify_error(
-        self, tmp_path, server
+        self, tmp_path, server, connect
     ):
-        v = ServeClient(server.address, retries=0).submit(RC, "dc")
+        v = connect(server.address, retries=0).submit(RC, "dc")
         server.service.drain()
         key = server.service.status(v["job_id"])["key"]
         chaos = Chaos(
             tmp_path / "chaos",
             http={"/results/": ChaosSpec(kind="torn", times=99)},
         )
-        c = ServeClient(server.address, retries=2, backoff_base=0.01)
+        c = connect(server.address, retries=2, backoff_base=0.01)
         with chaos_scope(chaos):
             with pytest.raises(ServeResultError):
                 c.result_blob(key)
@@ -402,12 +418,12 @@ class TestSlowLoris:
         finally:
             srv.close()
 
-    def test_fast_body_unaffected_by_guard(self, tmp_path):
+    def test_fast_body_unaffected_by_guard(self, tmp_path, connect):
         srv = ServeHTTPServer(
             tmp_path / "s", request_timeout=0.5
         ).start_background()
         try:
-            c = ServeClient(srv.address, retries=0)
+            c = connect(srv.address, retries=0)
             assert c.submit(RC, "dc")["state"] == "queued"
         finally:
             srv.close()
@@ -512,6 +528,15 @@ class TestConnections:
         while set(threading.enumerate()) - baseline and time.monotonic() < deadline:
             time.sleep(0.01)
         assert not set(threading.enumerate()) - baseline
+
+    def test_idle_close_returns_promptly(self, tmp_path):
+        # shutdown() waits for the serving loop's next poll, which
+        # socketserver makes every 0.5 s by default
+        srv = ServeHTTPServer(tmp_path / "s").start_background()
+        time.sleep(0.1)  # the serving loop is inside its poll
+        t0 = time.monotonic()
+        srv.close()
+        assert time.monotonic() - t0 < 0.2
 
     def test_client_close_and_context_manager(self, server):
         with ServeClient(server.address, retries=0) as c:
@@ -621,18 +646,18 @@ class TestConcurrentClients:
 
             def one_client(seed):
                 try:
-                    c = ServeClient(srv.address, retries=6, backoff_base=0.02)
-                    got = {}
-                    for i, net in enumerate(distinct):
-                        v = c.submit(net, "dc", label=f"c{seed}-j{i}")
-                        assert v["state"] in ("queued", "deduped", "done"), v
-                        got[i] = v
-                    for i, v in got.items():
-                        rec = c.wait(v["job_id"], timeout=90)
-                        assert rec["state"] == "done", rec
-                        blob, _ = c.result_blob(rec["key"])
-                        with lock:
-                            results.setdefault(i, []).append(blob)
+                    with ServeClient(srv.address, retries=6, backoff_base=0.02) as c:
+                        got = {}
+                        for i, net in enumerate(distinct):
+                            v = c.submit(net, "dc", label=f"c{seed}-j{i}")
+                            assert v["state"] in ("queued", "deduped", "done"), v
+                            got[i] = v
+                        for i, v in got.items():
+                            rec = c.wait(v["job_id"], timeout=90)
+                            assert rec["state"] == "done", rec
+                            blob, _ = c.result_blob(rec["key"])
+                            with lock:
+                                results.setdefault(i, []).append(blob)
                 except Exception as exc:  # noqa: BLE001 - collected below
                     with lock:
                         errors.append(f"client {seed}: {exc!r}")
@@ -677,14 +702,14 @@ class TestConcurrentClients:
 
 
 class TestServeCLI:
-    def test_serve_http_helper(self, tmp_path):
+    def test_serve_http_helper(self, tmp_path, connect):
         srv = serve_http(tmp_path / "s")
         try:
-            assert ServeClient(srv.address, retries=0).healthz()["ok"]
+            assert connect(srv.address, retries=0).healthz()["ok"]
         finally:
             srv.close()
 
-    def test_serve_subcommand_boots_and_answers(self, tmp_path):
+    def test_serve_subcommand_boots_and_answers(self, tmp_path, connect):
         import subprocess
         import sys
 
@@ -702,9 +727,10 @@ class TestServeCLI:
             banner = proc.stdout.readline()
             assert " at http://" in banner
             address = banner.split(" at ")[1].split(" ")[0]
-            c = ServeClient(address, retries=2, backoff_base=0.05)
+            c = connect(address, retries=2, backoff_base=0.05)
             assert c.healthz()["ok"]
             assert c.submit(RC, "dc")["state"] == "queued"
         finally:
             proc.terminate()
             proc.wait(timeout=15)
+            proc.stdout.close()
